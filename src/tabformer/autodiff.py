@@ -7,7 +7,10 @@ Design rules:
   single exception that a size-1 tensor acts as a scalar. Dedicated ops
   (add_bias, layer_norm, feature_embed) handle the broadcasts a
   transformer actually needs, each with an exact backward rule;
-* ops support 2-D operands and, where useful, a leading batch axis;
+* ops act on the last one or two axes and carry any leading axes
+  along. ``matmul`` takes an N-D left operand with a 2-D right one (a
+  token-wise linear, run as one 2-D GEMM) or two N-D operands whose
+  leading axes agree (batched products such as per-head attention);
 * every op checks its output for NaN/Inf and raises NumericError, so a
   numeric blow-up is surfaced at the op that produced it;
 * recording only happens under an active Tape. With no tape, ops are
@@ -41,14 +44,13 @@ class Tensor:
     reaches the tensor; ``zero_grad`` resets it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = np.zeros_like(arr) if requires_grad else None
-        self._tape: Optional["Tape"] = None
 
     @property
     def shape(self) -> tuple:
@@ -146,7 +148,9 @@ class Tape:
 
     Use as a context manager around the forward computation, then call
     ``backward(loss)``. A tape and its tensors belong to one execution
-    context; build a fresh tape per training step.
+    context; build a fresh tape per training step. Tensors hold no
+    reference back to the tape, so a step's graph is freed as soon as
+    its last name goes out of scope.
     """
 
     def __init__(self):
@@ -165,7 +169,6 @@ class Tape:
     def _add(self, out: Tensor, inputs: Sequence[Tensor], vjp: Callable):
         self.nodes.append(_Node(out, inputs, vjp))
         self._produced.add(id(out))
-        out._tape = self
 
     def tracks(self, t: Tensor) -> bool:
         """Whether gradient flows into ``t`` on this tape."""
@@ -199,13 +202,6 @@ class Tape:
                     flows[id(t)] = g if acc is None else acc + g
 
 
-def backward(loss: Tensor):
-    """Backward pass on the tape that produced ``loss``."""
-    if loss._tape is None:
-        raise ShapeError("loss was not produced under a recording tape")
-    loss._tape.backward(loss)
-
-
 def _finite_or_raise(arr: np.ndarray, op: str):
     if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced a non-finite value")
@@ -230,38 +226,42 @@ def _emit(op: str, data: np.ndarray, inputs: Sequence[Tensor], make_vjp) -> Tens
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. 2-D x 2-D, batched 3-D x 2-D, or 3-D x 3-D.
+    """Matrix product over the last two axes.
+
+    Operands: 2-D x 2-D; N-D x 2-D, where the right operand is shared by
+    every leading index and the product runs as ONE (prod(lead), k) x
+    (k, n) GEMM, forward and backward; or N-D x N-D with identical
+    leading axes (a batch of independent products).
 
     Backward: dL/da = dL/dout . b^T and dL/db = a^T . dL/dout, with the
-    batch axis summed out when b is shared across the batch.
+    leading axes summed out when b is shared.
     """
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2 or ad.ndim > 3 or bd.ndim > 3:
-        raise ShapeError(f"matmul supports 2-D/3-D operands, got {ad.shape} and {bd.shape}")
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ShapeError(f"matmul needs operands of at least 2 dims, got {ad.shape} and {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {ad.shape} vs {bd.shape}")
-    if ad.ndim == 2 and bd.ndim == 3:
-        raise ShapeError(f"matmul with 2-D left and 3-D right is not supported: {ad.shape} vs {bd.shape}")
-    if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
-        raise ShapeError(f"matmul batch sizes differ: {ad.shape} vs {bd.shape}")
-    data = ad @ bd
+    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
+        raise ShapeError(f"matmul leading axes differ: {ad.shape} vs {bd.shape}")
+    shared = bd.ndim == 2  # one weight matrix for every leading index
+    if shared:
+        a2 = ad.reshape(-1, ad.shape[-1])
+        data = (a2 @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
+    else:
+        data = ad @ bd
 
     def make_vjp(tape):
         need_a, need_b = tape.tracks(a), tape.tracks(b)
 
         def vjp(og):
             ga = gb = None
-            if ad.ndim == 2 and bd.ndim == 2:
+            if shared:
+                og2 = og.reshape(-1, og.shape[-1])
                 if need_a:
-                    ga = og @ bd.T
+                    ga = (og2 @ bd.T).reshape(ad.shape)
                 if need_b:
-                    gb = ad.T @ og
-            elif bd.ndim == 2:  # (B,m,k) @ (k,n)
-                if need_a:
-                    ga = og @ bd.T
-                if need_b:
-                    gb = np.tensordot(ad, og, axes=([0, 1], [0, 1]))
-            else:  # (B,m,k) @ (B,k,n)
+                    gb = a2.T @ og2
+            else:
                 if need_a:
                     ga = og @ np.swapaxes(bd, -1, -2)
                 if need_b:
@@ -364,9 +364,9 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, max-subtracted for stability."""
     x = a.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = x - x.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def make_vjp(tape):
         def vjp(og):
@@ -381,7 +381,10 @@ def softmax_rows(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x), via erf."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     data = x * cdf
 
     def make_vjp(tape):
@@ -425,11 +428,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gain.data + bias.data
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
 
     def make_vjp(tape):
         lead = tuple(range(x.data.ndim - 1))
@@ -482,26 +486,45 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _emit("concat", data, tuple(tensors), make_vjp)
 
 
-def concat_last_dim(tensors: Sequence[Tensor]) -> Tensor:
-    return concat(tensors, axis=-1)
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """[..., t, h*d_k] -> [h, ..., t, d_k]: head j is x[..., j*d_k:(j+1)*d_k].
 
-
-def slice_last_dim(x: Tensor, start: int, stop: int) -> Tensor:
-    """x[..., start:stop], differentiable."""
-    n = x.data.shape[-1]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"slice_last_dim bounds [{start}, {stop}) invalid for width {n}")
-    data = x.data[..., start:stop]
+    For a contiguous x, such as a matmul output, the result is a numpy
+    view (no copy). merge_heads inverts it.
+    """
+    *lead, t, width = x.data.shape
+    if n_heads < 1 or width % n_heads:
+        raise ShapeError(f"split_heads cannot cut width {width} into {n_heads} heads")
+    d_k = width // n_heads
+    data = np.moveaxis(x.data.reshape(*lead, t, n_heads, d_k), -2, 0)
 
     def make_vjp(tape):
         def vjp(og):
-            full = np.zeros_like(x.data)
-            full[..., start:stop] = og
-            return (full,)
+            return (np.moveaxis(og, 0, -2).reshape(x.data.shape),)
 
         return vjp
 
-    return _emit("slice_last_dim", data, (x,), make_vjp)
+    return _emit("split_heads", data, (x,), make_vjp)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """[h, ..., t, d_k] -> [..., t, h*d_k], the inverse of split_heads.
+
+    Head-major memory cannot be viewed with the heads side by side in
+    the last axis, so the merged result is one contiguous copy.
+    """
+    if x.data.ndim < 3:
+        raise ShapeError(f"merge_heads needs [h, ..., t, d_k], got shape {x.shape}")
+    h, *lead, t, d_k = x.data.shape
+    data = np.moveaxis(x.data, 0, -2).reshape(*lead, t, h * d_k)
+
+    def make_vjp(tape):
+        def vjp(og):
+            return (np.moveaxis(og.reshape(*lead, t, h, d_k), -2, 0),)
+
+        return vjp
+
+    return _emit("merge_heads", data, (x,), make_vjp)
 
 
 def select_row(x: Tensor, index: int) -> Tensor:
@@ -542,22 +565,6 @@ def permute_rows(x: Tensor, perm: np.ndarray) -> Tensor:
         return vjp
 
     return _emit("permute_rows", data, (x,), make_vjp)
-
-
-def mean_rows(x: Tensor) -> Tensor:
-    """Mean over axis -2 (column means): x[..., m, n] -> x[..., n]."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"mean_rows needs at least 2 dims, got shape {x.shape}")
-    m = x.data.shape[-2]
-    data = x.data.mean(axis=-2)
-
-    def make_vjp(tape):
-        def vjp(og):
-            return (np.repeat(np.expand_dims(og, -2), m, axis=-2) / m,)
-
-        return vjp
-
-    return _emit("mean_rows", data, (x,), make_vjp)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:

@@ -191,6 +191,15 @@ class TransformerBlock:
 
     Dropout (train mode only) hits each sublayer output before the
     residual addition and the attention probabilities themselves.
+
+    Attention runs all heads as one batch. q, k and v come from the
+    three d x d projections and are split into heads with the head axis
+    FIRST: [..., t, h*d_k] -> [h, ..., t, d_k], head j owning columns
+    j*d_k:(j+1)*d_k. One batched Q K^T, softmax, dropout and P V follow,
+    then the heads are merged back and projected by w_o. Head-first
+    order makes the (h, ..., t, t) dropout mask consume the rng in the
+    same order as drawing one mask per head in turn, and it keeps
+    unbatched (t, d) input working unchanged.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator, index: int):
@@ -221,21 +230,17 @@ class TransformerBlock:
 
     def multi_head(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
         cfg = self.config
-        q = ad.matmul(x, self.w_q)
-        k = ad.matmul(x, self.w_k)
-        v = ad.matmul(x, self.w_v)
-        heads = []
-        for h in range(cfg.n_heads):
-            lo, hi = h * cfg.d_k, (h + 1) * cfg.d_k
-            qh = ad.slice_last_dim(q, lo, hi)
-            kh = ad.slice_last_dim(k, lo, hi)
-            vh = ad.slice_last_dim(v, lo, hi)
-            probs = ad.softmax_rows(attention_logits(qh, kh))
-            if training and cfg.dropout > 0.0:
-                probs = ad.dropout(probs, cfg.dropout, rng, training=True)
-            heads.append(ad.matmul(probs, vh))
-        merged = heads[0] if len(heads) == 1 else ad.concat_last_dim(heads)
-        return ad.matmul(merged, self.w_o)
+
+        def heads(w):
+            return ad.split_heads(ad.matmul(x, w), cfg.n_heads)
+
+        # v is projected after the scores: in eval mode q and k are freed
+        # by then, so v is not alive while the (h, ..., t, t) scores are
+        # being scaled and normalised, which lowers peak memory
+        probs = ad.softmax_rows(attention_logits(heads(self.w_q), heads(self.w_k)))
+        if training and cfg.dropout > 0.0:
+            probs = ad.dropout(probs, cfg.dropout, rng, training=True)
+        return ad.matmul(ad.merge_heads(ad.matmul(probs, heads(self.w_v))), self.w_o)
 
     def _ffn(self, x: Tensor) -> Tensor:
         h = ad.gelu(ad.add_bias(ad.matmul(x, self.ffn_w1), self.ffn_b1))
@@ -466,7 +471,8 @@ def load_checkpoint(prefix):
         model = MlpModel(schema, hidden=manifest["config"]["hidden"], seed=manifest["seed"])
     else:
         raise DataError(f"checkpoint has unknown model kind {kind!r}")
-    flat = np.frombuffer(open(prefix + ".bin", "rb").read(), dtype="<f8")
+    with open(prefix + ".bin", "rb") as fh:
+        flat = np.frombuffer(fh.read(), dtype="<f8")
     params = model.parameters()
     expect = sum(p.size for p in params)
     if flat.size != expect:

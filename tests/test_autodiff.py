@@ -43,6 +43,20 @@ class TestMatmul:
         direct = ad.matmul(a, b)
         assert np.array_equal(via_identity.data, direct.data)
 
+    def test_nd_times_2d_equals_one_2d_gemm(self):
+        rng = np.random.default_rng(8)
+        a = rng.uniform(-2, 2, (2, 3, 4, 5))
+        w = rng.uniform(-2, 2, (5, 2))
+        out = ad.matmul(tensor(a), tensor(w)).data
+        assert out.shape == (2, 3, 4, 2)
+        assert np.array_equal(out, (a.reshape(-1, 5) @ w).reshape(2, 3, 4, 2))
+
+    def test_nd_leading_axes_must_agree(self):
+        with pytest.raises(ShapeError):
+            ad.matmul(tensor(np.zeros((2, 3, 4, 5))), tensor(np.zeros((3, 2, 5, 4))))
+        with pytest.raises(ShapeError):
+            ad.matmul(tensor(np.zeros((4, 5))), tensor(np.zeros((2, 5, 4))))
+
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(7)
         a = rng.uniform(-2, 2, (3, 4, 5))
@@ -50,6 +64,29 @@ class TestMatmul:
         batched = ad.matmul(tensor(a), tensor(w)).data
         for i in range(3):
             assert np.allclose(batched[i], a[i] @ w, atol=0, rtol=0)
+
+
+# ---------------------------------------------------------------------------
+# head split / merge
+
+
+class TestHeads:
+    def test_split_is_head_first_view(self):
+        x = np.arange(2 * 3 * 8, dtype=np.float64).reshape(2, 3, 8)
+        heads = ad.split_heads(tensor(x), 4).data
+        assert heads.shape == (4, 2, 3, 2)
+        for j in range(4):
+            assert np.array_equal(heads[j], x[..., 2 * j : 2 * j + 2])
+        assert np.shares_memory(heads, x)
+
+    def test_merge_inverts_split_bitwise(self):
+        x = np.random.default_rng(4).normal(size=(5, 6))
+        back = ad.merge_heads(ad.split_heads(tensor(x), 3)).data
+        assert np.array_equal(back, x)
+
+    def test_split_width_must_divide(self):
+        with pytest.raises(ShapeError):
+            ad.split_heads(tensor(np.zeros((3, 6))), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +247,10 @@ class TestBackward:
     def test_eval_mode_records_nothing(self):
         x = tensor([1.0], requires_grad=True)
         y = ad.mul(x, x)
-        assert y._tape is None
+        with ad.Tape() as tape:
+            pass
+        assert tape.nodes == []
+        assert not tape.tracks(y)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +289,11 @@ class TestGradCheck:
             g = ad.gelu(ad.matmul(s, ad.transpose(b)))   # 3x4
             ln = ad.layer_norm(g, gain, shift)
             h = ad.sigmoid(ad.sub(ln, ad.mul_scalar(g, 0.5)))
-            left = ad.slice_last_dim(h, 0, 2)
-            right = ad.slice_last_dim(h, 2, 4)
-            back = ad.concat_last_dim([right, left])
+            heads = ad.split_heads(h, 2)                 # (2,3,2)
+            gram = ad.matmul(heads, ad.transpose(heads))  # (2,3,3)
+            back = ad.merge_heads(ad.matmul(gram, heads))  # 3x4
             row = ad.select_row(back, 1)
-            pooled = ad.mean_rows(ad.add(back, back))
+            pooled = ad.add(back, back)
             return ad.add(ad.sum_all(ad.mul(row, row)), ad.mean_all(ad.mul(pooled, pooled)))
 
         err = ad.grad_check(f, [a, b, bias, gain, shift])
@@ -271,6 +311,30 @@ class TestGradCheck:
             return ad.sum_all(ad.mul(z, z))
 
         assert ad.grad_check(f, [a, w, b3]) < 1e-4
+
+    def test_nd_matmul_grads(self):
+        rng = np.random.default_rng(22)
+        a = tensor(rng.uniform(-2, 2, (2, 3, 4, 5)), requires_grad=True)
+        w = tensor(rng.uniform(-2, 2, (5, 3)), requires_grad=True)
+        b4 = tensor(rng.uniform(-2, 2, (2, 3, 3, 2)), requires_grad=True)
+
+        def f():
+            y = ad.matmul(a, w)            # 4-D x 2-D: (2,3,4,3)
+            z = ad.matmul(y, b4)           # 4-D x 4-D: (2,3,4,2)
+            return ad.sum_all(ad.mul(z, z))
+
+        assert ad.grad_check(f, [a, w, b4]) < 1e-4
+
+    def test_split_merge_round_trip_grads(self):
+        rng = np.random.default_rng(23)
+        x = tensor(rng.uniform(-2, 2, (2, 3, 6)), requires_grad=True)
+        weight = tensor(rng.uniform(-2, 2, (2, 3, 6)))
+
+        def f():
+            y = ad.merge_heads(ad.split_heads(x, 3))
+            return ad.sum_all(ad.mul(ad.mul(y, y), weight))
+
+        assert ad.grad_check(f, [x]) < 1e-4
 
     def test_embedding_and_feature_embed_grads(self):
         rng = np.random.default_rng(31)

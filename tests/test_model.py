@@ -1,4 +1,6 @@
+import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +242,26 @@ class TestMultiHead:
         out = blk.multi_head(Tensor(x)).data
         assert np.max(np.abs(out - token)) < 1e-12
 
+    def test_training_mode_matches_per_head_loop_with_same_rng(self):
+        # one dropout mask per head, drawn head by head from the same
+        # stream: the batched mask must consume it in exactly this order
+        cfg = ModelConfig(embed_dim=16, n_heads=4, n_blocks=1, ffn_dim=8, dropout=0.3)
+        blk = self.block(cfg)
+        x = np.random.default_rng(12).normal(size=(3, 5, 16))
+        got = blk.multi_head(Tensor(x), training=True, rng=np.random.default_rng(13)).data
+        rng = np.random.default_rng(13)
+        q, k, v = x @ blk.w_q.data, x @ blk.w_k.data, x @ blk.w_v.data
+        heads = []
+        for h in range(cfg.n_heads):
+            sl = slice(h * cfg.d_k, (h + 1) * cfg.d_k)
+            logits = q[..., sl] @ np.swapaxes(k[..., sl], -1, -2) / math.sqrt(cfg.d_k)
+            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            probs = e / e.sum(axis=-1, keepdims=True)
+            probs = probs * (rng.random(probs.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+            heads.append(probs @ v[..., sl])
+        expect = np.concatenate(heads, axis=-1) @ blk.w_o.data
+        assert np.max(np.abs(got - expect)) < 1e-12
+
     def test_batched_equals_per_sample(self):
         cfg = ModelConfig(embed_dim=8, n_heads=2, n_blocks=1, ffn_dim=8, dropout=0.0)
         blk = self.block(cfg)
@@ -426,6 +448,14 @@ class TestCheckpoints:
         (tmp_path / "lr.bin").write_bytes(raw[:-8])
         with pytest.raises(DataError, match="parameter"):
             load_checkpoint(tmp_path / "lr")
+
+    def test_load_leaves_no_file_open(self, tmp_path):
+        save_checkpoint(Model(tiny_config(), numeric_schema(3), seed=27), tmp_path / "tf")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_checkpoint(tmp_path / "tf")
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_mlp_round_trip(self, tmp_path):
         model = MlpModel(numeric_schema(3), hidden=(5,), seed=26)

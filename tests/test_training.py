@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from tabformer.data import (
 from tabformer.errors import ConfigError, DataError, ShapeError
 from tabformer.model import LogisticModel, Model, ModelConfig
 from tabformer.data import ColumnSchema, FeatureSchema, NUMERIC
+from tabformer import training
 from tabformer.seeding import stream_rng
 from tabformer.training import (
     AdamW,
@@ -291,6 +294,27 @@ class TestTrain:
             opt.step()
         assert np.array_equal(trained.w.data, manual.w.data)
         assert np.array_equal(trained.b.data, manual.b.data)
+
+    def test_step_tape_is_freed_without_cycle_collection(self, monkeypatch):
+        tapes = []
+
+        class RecordingTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(training, "Tape", RecordingTape)
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(8, 3))
+        y = np.array([1.0, 0.0] * 4)
+        model = self.tiny_transformer(3, seed=2)
+        gc.disable()
+        try:
+            train(model, (X, y), (X, y), TrainConfig(batch_size=8, max_epochs=1))
+            assert len(tapes) == 1
+            assert tapes[0]() is None
+        finally:
+            gc.enable()
 
     def test_early_stopping_with_negligible_lr(self):
         # lr=1e-15 keeps the cumulative loss drift across a patience
