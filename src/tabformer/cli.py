@@ -35,7 +35,7 @@ from .data import (
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .evaluation import pr_points_to_csv, run_cv
 from .importance import permutation_importance
-from .model import build_model, load_checkpoint, save_checkpoint
+from .model import MODELS, build_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
 
@@ -100,7 +100,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, name, value)
     if getattr(args, "identity_check", False):
         cfg.identity_check = True
-    if cfg.model not in ("transformer", "logistic", "mlp"):
+    if cfg.model not in MODELS:
         raise ConfigError(f"unknown model kind {cfg.model!r}")
     if cfg.k_folds < 2:
         raise ConfigError(f"k_folds must be at least 2, got {cfg.k_folds}")
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run config")
         p.add_argument("--data", help="input CSV path")
         p.add_argument("--target", help="label column name")
-        p.add_argument("--model", choices=("transformer", "logistic", "mlp"))
+        p.add_argument("--model", choices=tuple(MODELS))
         p.add_argument("--k-folds", dest="k_folds", type=int)
         p.add_argument("--threshold", type=float)
         p.add_argument("--seed", type=int)

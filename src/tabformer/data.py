@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .autodiff import Tensor, sigmoid
 from .errors import ConfigError, DataError
 from .seeding import stream_rng
 
@@ -511,15 +512,6 @@ def load_generator_spec(path) -> GeneratorSpec:
     return GeneratorSpec.from_dict(doc)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _draw_values(spec: GeneratorSpec, n: int, seed: int) -> np.ndarray:
     values = np.zeros((n, len(spec.columns)), dtype=np.float64)
     for j, col in enumerate(spec.columns):
@@ -536,7 +528,7 @@ def true_probabilities(spec: GeneratorSpec, values: np.ndarray) -> np.ndarray:
     logit = values @ np.asarray(spec.weights, dtype=np.float64) + spec.bias
     for (i, j), w in spec.interactions:
         logit = logit + w * values[:, i] * values[:, j]
-    return _stable_sigmoid(logit)
+    return sigmoid(Tensor(logit)).data
 
 
 def bayes_probabilities(spec: GeneratorSpec, n: int, seed: Optional[int] = None) -> np.ndarray:

@@ -1,5 +1,10 @@
-"""Transformer for tabular rows, plus logistic and MLP baselines that
-share the same parameter/prediction interface.
+"""Transformer for tabular rows, plus logistic and MLP baselines.
+
+Every model kind shares one interface (``ScoringModel``): a row-width
+check, ``forward_batch``, ``forward(row)`` and a chunked
+``predict_proba``. Logistic regression is the MLP with no hidden layer.
+``MODELS`` maps each kind name to its factory; building, checkpoint
+loading and the CLI's choices all go through it.
 
 Architecture: each feature becomes one d-dimensional token (numeric:
 x_j * W_j + b_j; categorical: embedding lookup with a reserved UNK row),
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,27 +66,15 @@ class ModelConfig:
         return self.embed_dim // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "n_heads": self.n_heads,
-            "n_blocks": self.n_blocks,
-            "ffn_dim": self.ffn_dim,
-            "dropout": self.dropout,
-            "head_hidden": self.head_hidden,
-            "layer_norm_eps": self.layer_norm_eps,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "ModelConfig":
-        return ModelConfig(
-            embed_dim=int(doc["embed_dim"]),
-            n_heads=int(doc["n_heads"]),
-            n_blocks=int(doc["n_blocks"]),
-            ffn_dim=int(doc["ffn_dim"]),
-            dropout=float(doc["dropout"]),
-            head_hidden=None if doc.get("head_hidden") is None else int(doc["head_hidden"]),
-            layer_norm_eps=float(doc.get("layer_norm_eps", 1e-5)),
-        )
+        """Missing keys take their defaults; unknown keys are a ConfigError."""
+        unknown = set(doc) - {f.name for f in fields(ModelConfig)}
+        if unknown:
+            raise ConfigError(f"unknown model_config fields: {sorted(unknown)}")
+        return ModelConfig(**doc)
 
 
 def _uniform(rng: np.random.Generator, shape, bound: float) -> np.ndarray:
@@ -94,6 +87,11 @@ def _matrix(rng, name, n_in, n_out) -> Parameter:
 
 def _bias(name, n) -> Parameter:
     return Parameter(np.zeros(n), name=name, decay=False)
+
+
+def _check_rows(X: np.ndarray, n_features: int) -> None:
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ShapeError(f"expected rows of length {n_features}, got shape {X.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +166,7 @@ class FeatureTokenizer:
         return list(self._params)
 
     def forward_batch(self, X: np.ndarray) -> Tensor:
-        if X.ndim != 2 or X.shape[1] != self.schema.n_features:
-            raise ShapeError(
-                f"expected rows of length {self.schema.n_features}, got shape {X.shape}"
-            )
+        _check_rows(X, self.schema.n_features)
         parts = []
         if self.numeric_idx.size:
             parts.append(ad.feature_embed(X[:, self.numeric_idx], self.numeric_w, self.numeric_b))
@@ -258,9 +253,36 @@ class TransformerBlock:
         return ad.add(x, ffn)
 
 
-class Model:
-    """Full tabular transformer. ``parameters()`` order is the
-    checkpoint serialization order."""
+class ScoringModel:
+    """What every model kind shares. A subclass sets ``kind``,
+    ``schema`` and ``seed`` and defines ``parameters()`` (the checkpoint
+    serialization order), ``config_dict()`` and ``_logits(X, training,
+    rng)``, the pre-sigmoid [n, 1] scores."""
+
+    kind: str
+
+    def forward_batch(self, X: np.ndarray, training: bool = False, rng=None) -> Tensor:
+        _check_rows(X, self.schema.n_features)
+        z = self._logits(X, training, rng)
+        return ad.reshape(ad.sigmoid(z), (X.shape[0],))
+
+    def forward(self, row: np.ndarray, training: bool = False, rng=None) -> float:
+        row = np.asarray(row, dtype=np.float64)
+        if row.ndim != 1:
+            raise ShapeError(f"expected a single row, got shape {row.shape}")
+        return float(self.forward_batch(row[None, :], training, rng).data[0])
+
+    def predict_proba(self, X: np.ndarray, batch_size: int = 1024) -> np.ndarray:
+        """Eval-mode probabilities with no graph recording."""
+        out = np.empty(X.shape[0], dtype=np.float64)
+        for lo in range(0, X.shape[0], batch_size):
+            chunk = X[lo : lo + batch_size]
+            out[lo : lo + chunk.shape[0]] = self.forward_batch(chunk).data
+        return out
+
+
+class Model(ScoringModel):
+    """Full tabular transformer."""
 
     kind = "transformer"
 
@@ -297,7 +319,7 @@ class Model:
     def config_dict(self) -> dict:
         return self.config.to_dict()
 
-    def forward_batch(self, X: np.ndarray, training: bool = False, rng=None) -> Tensor:
+    def _logits(self, X: np.ndarray, training: bool, rng) -> Tensor:
         if training and self.config.dropout > 0.0 and rng is None:
             raise ConfigError("training-mode forward with dropout needs an rng")
         try:
@@ -315,64 +337,14 @@ class Model:
             z = ad.add_bias(ad.matmul(h, self.head_w1), self.head_b1)
             if self.head_w2 is not None:
                 z = ad.add_bias(ad.matmul(ad.gelu(z), self.head_w2), self.head_b2)
-            p = ad.sigmoid(z)
         except NumericError as exc:
             raise NumericError(f"head: {exc}") from None
-        return ad.reshape(p, (X.shape[0],))
-
-    def forward(self, row: np.ndarray, training: bool = False, rng=None) -> float:
-        row = np.asarray(row, dtype=np.float64)
-        if row.ndim != 1:
-            raise ShapeError(f"expected a single row, got shape {row.shape}")
-        return float(self.forward_batch(row[None, :], training, rng).data[0])
-
-    def predict_proba(self, X: np.ndarray, batch_size: int = 1024) -> np.ndarray:
-        """Eval-mode probabilities with no graph recording."""
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for lo in range(0, X.shape[0], batch_size):
-            chunk = X[lo : lo + batch_size]
-            out[lo : lo + chunk.shape[0]] = self.forward_batch(chunk).data
-        return out
+        return z
 
 
-class LogisticModel:
-    """sigmoid(w . x + b) over the standardized feature vector;
-    categorical features enter as their integer codes."""
-
-    kind = "logistic"
-
-    def __init__(self, schema: FeatureSchema, seed: int = 0):
-        self.schema = schema
-        self.seed = int(seed)
-        rng = stream_rng(self.seed, "init")
-        f = schema.n_features
-        self.w = _matrix(rng, "logistic.w", f, 1)
-        self.b = _bias("logistic.b", 1)
-
-    def parameters(self) -> list:
-        return [self.w, self.b]
-
-    def config_dict(self) -> dict:
-        return {}
-
-    def forward_batch(self, X: np.ndarray, training: bool = False, rng=None) -> Tensor:
-        if X.ndim != 2 or X.shape[1] != self.schema.n_features:
-            raise ShapeError(
-                f"expected rows of length {self.schema.n_features}, got shape {X.shape}"
-            )
-        z = ad.add_bias(ad.matmul(Tensor(X), self.w), self.b)
-        return ad.reshape(ad.sigmoid(z), (X.shape[0],))
-
-    def forward(self, row: np.ndarray, training: bool = False, rng=None) -> float:
-        return float(self.forward_batch(np.asarray(row, dtype=np.float64)[None, :]).data[0])
-
-    def predict_proba(self, X: np.ndarray, batch_size: int = 0) -> np.ndarray:
-        return self.forward_batch(X).data.copy()
-
-
-class MlpModel:
+class MlpModel(ScoringModel):
     """GELU multi-layer perceptron ending in a sigmoid. An empty hidden
-    stack degenerates to logistic regression."""
+    stack is logistic regression (``LogisticModel``)."""
 
     kind = "mlp"
 
@@ -399,24 +371,40 @@ class MlpModel:
     def config_dict(self) -> dict:
         return {"hidden": list(self.hidden)}
 
-    def forward_batch(self, X: np.ndarray, training: bool = False, rng=None) -> Tensor:
-        if X.ndim != 2 or X.shape[1] != self.schema.n_features:
-            raise ShapeError(
-                f"expected rows of length {self.schema.n_features}, got shape {X.shape}"
-            )
+    def _logits(self, X: np.ndarray, training: bool, rng) -> Tensor:
         h = Tensor(X)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = ad.add_bias(ad.matmul(h, w), b)
             if i != last:
                 h = ad.gelu(h)
-        return ad.reshape(ad.sigmoid(h), (X.shape[0],))
+        return h
 
-    def forward(self, row: np.ndarray, training: bool = False, rng=None) -> float:
-        return float(self.forward_batch(np.asarray(row, dtype=np.float64)[None, :]).data[0])
 
-    def predict_proba(self, X: np.ndarray, batch_size: int = 0) -> np.ndarray:
-        return self.forward_batch(X).data.copy()
+class LogisticModel(MlpModel):
+    """sigmoid(w . x + b) over the standardized feature vector;
+    categorical features enter as their integer codes. This is the MLP
+    with no hidden layer: the same init draws, ops and ``.bin`` layout."""
+
+    kind = "logistic"
+
+    def __init__(self, schema: FeatureSchema, seed: int = 0):
+        super().__init__(schema, hidden=(), seed=seed)
+        self.w, self.b = self.weights[0], self.biases[0]
+
+    def config_dict(self) -> dict:
+        return {}
+
+
+# Model kind -> factory(schema, seed, config dict), for user configs and
+# checkpoint manifests alike. The baselines ignore keys they do not use
+# (a transformer config may be passed to them); the transformer rejects
+# unknown keys.
+MODELS = {
+    Model.kind: lambda schema, seed, config: Model(ModelConfig.from_dict(config), schema, seed),
+    LogisticModel.kind: lambda schema, seed, config: LogisticModel(schema, seed),
+    MlpModel.kind: lambda schema, seed, config: MlpModel(schema, config.get("hidden", (64, 64)), seed),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +412,12 @@ class MlpModel:
 
 
 def build_model(kind: str, schema: FeatureSchema, seed: int = 0, config: Optional[dict] = None):
-    config = dict(config or {})
-    if kind == "transformer":
-        cfg = ModelConfig(**config) if config else ModelConfig()
-        return Model(cfg, schema, seed)
-    if kind == "logistic":
-        return LogisticModel(schema, seed)
-    if kind == "mlp":
-        return MlpModel(schema, hidden=config.get("hidden", (64, 64)), seed=seed)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    if kind not in MODELS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    return MODELS[kind](schema, seed, dict(config or {}))
+
+
+_MANIFEST_KEYS = ("kind", "config", "schema", "schema_fingerprint", "seed")
 
 
 def save_checkpoint(model, prefix) -> None:
@@ -459,18 +444,19 @@ def load_checkpoint(prefix):
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{prefix}.json: invalid manifest ({exc})") from exc
+    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
+    if missing:
+        raise DataError(f"{prefix}.json: manifest lacks {missing}")
     schema = FeatureSchema.from_dict(manifest["schema"])
     if schema.fingerprint() != manifest["schema_fingerprint"]:
         raise DataError("checkpoint schema does not match its recorded fingerprint")
     kind = manifest["kind"]
-    if kind == "transformer":
-        model = Model(ModelConfig.from_dict(manifest["config"]), schema, manifest["seed"])
-    elif kind == "logistic":
-        model = LogisticModel(schema, manifest["seed"])
-    elif kind == "mlp":
-        model = MlpModel(schema, hidden=manifest["config"]["hidden"], seed=manifest["seed"])
-    else:
+    if kind not in MODELS:
         raise DataError(f"checkpoint has unknown model kind {kind!r}")
+    try:
+        model = MODELS[kind](schema, manifest["seed"], manifest["config"])
+    except ConfigError as exc:
+        raise DataError(f"{prefix}.json: {exc}") from None
     with open(prefix + ".bin", "rb") as fh:
         flat = np.frombuffer(fh.read(), dtype="<f8")
     params = model.parameters()

@@ -19,8 +19,6 @@ _STREAMS = {
     "init": 4,
     "synth": 5,
     "importance": 6,
-    "gradcheck": 7,
-    "valsplit": 8,
 }
 
 

@@ -236,13 +236,13 @@ def train(
                 tape.backward(loss)
             optimizer.step()
             epoch_loss += float(loss.data) * batch.shape[0]
+        del tape, probs, loss  # free the last step's graph before the validation pass
         log.train_losses.append(epoch_loss / n)
 
         val_loss = _evaluate_loss(model, X_val, y_val, weights)
         log.val_losses.append(val_loss)
-        improved = val_loss < stopper.best - _IMPROVEMENT
         should_stop = stopper.update(epoch, val_loss)
-        if improved:
+        if stopper.best_epoch == epoch:
             best_params = [p.data.copy() for p in params]
         if should_stop:
             stop_reason = "early_stopping"

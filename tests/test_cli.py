@@ -2,15 +2,16 @@
 real files in a temp directory, exit codes checked on each failure path,
 and rerun determinism verified byte for byte."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from tabformer.cli import RunConfig, main
+from tabformer.cli import RunConfig, build_parser, main
 from tabformer.data import load_csv
 from tabformer.errors import ConfigError
-from tabformer.model import load_checkpoint
+from tabformer.model import MODELS, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -367,3 +368,55 @@ def test_unknown_model_kind_exits_2(data_path, tmp_path):
         "--out", str(tmp_path / "o"),
     ])
     assert rc == 2
+
+
+def test_model_choices_are_the_registry():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("cv", "train", "importance"):
+        (model,) = [a for a in commands.choices[name]._actions if a.dest == "model"]
+        assert set(model.choices) == set(MODELS)
+
+
+def test_unknown_model_config_key_exits_2(data_path, tmp_path, capsys):
+    cfg = run_config_file(tmp_path, model="transformer", model_config={"embed_size": 16})
+    rc = main([
+        "train", "--config", cfg, "--data", data_path, "--target", "label",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "embed_size" in err
+    assert "Traceback" not in err
+
+
+def _importance_with_manifest(trained_dir, data_path, tmp_path, edit):
+    manifest = json.loads((trained_dir / "model.json").read_text(encoding="utf-8"))
+    edit(manifest)
+    (tmp_path / "model.json").write_text(json.dumps(manifest), encoding="utf-8")
+    (tmp_path / "model.bin").write_bytes((trained_dir / "model.bin").read_bytes())
+    return main([
+        "importance", "--data", data_path, "--target", "label",
+        "--checkpoint", str(tmp_path / "model"), "--out", str(tmp_path / "o"),
+    ])
+
+
+@pytest.mark.parametrize("key", ["schema", "kind", "seed", "config", "schema_fingerprint"])
+def test_manifest_missing_key_exits_3(trained_dir, data_path, tmp_path, capsys, key):
+    rc = _importance_with_manifest(trained_dir, data_path, tmp_path, lambda m: m.pop(key))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
+def test_manifest_unknown_config_key_exits_3(trained_dir, data_path, tmp_path, capsys):
+    def edit(manifest):
+        manifest["kind"] = "transformer"
+        manifest["config"] = {"embed_size": 16}
+
+    rc = _importance_with_manifest(trained_dir, data_path, tmp_path, edit)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "embed_size" in err
+    assert "Traceback" not in err

@@ -394,6 +394,12 @@ class TestBaselines:
         X = np.random.default_rng(3).normal(size=(7, 4))
         assert np.array_equal(mlp.predict_proba(X), logistic.predict_proba(X))
 
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_chunked_predict_equals_one_batch_bitwise(self, kind):
+        model = build_model(kind, numeric_schema(9), seed=4)
+        X = np.random.default_rng(5).normal(size=(2500, 9))
+        assert np.array_equal(model.predict_proba(X), model.forward_batch(X).data)
+
     def test_mlp_forward_range(self):
         model = MlpModel(numeric_schema(4), hidden=(8, 8), seed=2)
         p = model.predict_proba(np.random.default_rng(4).normal(size=(5, 4)))

@@ -316,6 +316,54 @@ class TestTrain:
         finally:
             gc.enable()
 
+    def test_last_step_graph_released_before_validation(self, monkeypatch):
+        tapes = []
+
+        class RecordingTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        def evaluate(*args):
+            assert tapes and all(ref() is None for ref in tapes)
+            return 1.0
+
+        monkeypatch.setattr(training, "Tape", RecordingTape)
+        monkeypatch.setattr(training, "_evaluate_loss", evaluate)
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(12, 3))
+        y = np.array([1.0, 0.0] * 6)
+        model = self.tiny_transformer(3, seed=2)
+        gc.disable()
+        try:
+            train(model, (X, y), (X, y), TrainConfig(batch_size=8, max_epochs=2))
+        finally:
+            gc.enable()
+        assert len(tapes) == 4
+
+    def test_restored_parameters_match_logged_best_epoch(self, monkeypatch):
+        # epoch 2 beats epoch 1 by a margin whose float arithmetic sits
+        # at the 1e-12 tolerance: the restored parameters must be those
+        # of the epoch the log names
+        losses = iter([1.137860710573179, 1.137860710572179, 2.0, 2.0])
+        snapshots = []
+
+        def evaluate(model, X, y, weights):
+            snapshots.append([p.data.copy() for p in model.parameters()])
+            return next(losses)
+
+        monkeypatch.setattr(training, "_evaluate_loss", evaluate)
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(16, 2))
+        y = np.array([0, 1] * 8, dtype=float)
+        cfg = TrainConfig(lr=0.05, batch_size=8, max_epochs=4, patience=10, seed=3)
+        model = LogisticModel(numeric_schema(2), seed=9)
+        log = train(model, (X, y), (X, y), cfg)
+        assert log.best_epoch == 2
+        for p, saved in zip(model.parameters(), snapshots[1]):
+            assert np.array_equal(p.data, saved)
+        assert not np.array_equal(snapshots[0][0], snapshots[1][0])
+
     def test_early_stopping_with_negligible_lr(self):
         # lr=1e-15 keeps the cumulative loss drift across a patience
         # window far below the 1e-12 improvement tolerance, so epoch 1
