@@ -16,6 +16,14 @@ Design rules:
 * recording only happens under an active Tape. With no tape, ops are
   plain numpy (this is eval mode).
 
+Every op has one shape: check the inputs, compute ``data``, define
+``def vjp(og)`` over the values the backward rule needs, then
+``return _emit(op, data, inputs, vjp)``. ``vjp`` takes only the
+gradient of the output and returns one entry per input, each shaped
+like that input or ``None`` for no gradient. ``_emit`` checks ``data``
+and, under a tape, appends one node (out, inputs, vjp); with no tape the
+closure is dropped unused.
+
 Gradients accumulate into ``requires_grad`` leaves across backward
 calls; intermediate flow buffers are local to each backward pass, so
 backpropagating a sum of two losses equals the sum of two separate
@@ -71,26 +79,6 @@ class Tensor:
         else:
             self.grad.fill(0.0)
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return mul_scalar(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -108,10 +96,6 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape}, decay={self.decay})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +191,13 @@ def _finite_or_raise(arr: np.ndarray, op: str):
         raise NumericError(f"{op} produced a non-finite value")
 
 
-def _emit(op: str, data: np.ndarray, inputs: Sequence[Tensor], make_vjp) -> Tensor:
-    """Wrap an op result; record it with its vjp if a tape is active.
-
-    ``make_vjp`` is called lazily (only when recording) with the active
-    tape, so eval-mode forward passes pay no closure cost.
-    """
+def _emit(op: str, data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
+    """Check ``data`` and wrap it; under an active tape, record (out, inputs, vjp)."""
     _finite_or_raise(data, op)
     out = Tensor(data)
     tape = active_tape()
     if tape is not None:
-        tape._add(out, inputs, make_vjp(tape))
+        tape._add(out, inputs, vjp)
     return out
 
 
@@ -250,27 +230,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     else:
         data = ad @ bd
 
-    def make_vjp(tape):
-        need_a, need_b = tape.tracks(a), tape.tracks(b)
+    # an operand the tape does not track, such as a raw input matrix,
+    # gets no gradient
+    tape = active_tape()
+    need_a = tape is not None and tape.tracks(a)
+    need_b = tape is not None and tape.tracks(b)
 
-        def vjp(og):
-            ga = gb = None
-            if shared:
-                og2 = og.reshape(-1, og.shape[-1])
-                if need_a:
-                    ga = (og2 @ bd.T).reshape(ad.shape)
-                if need_b:
-                    gb = a2.T @ og2
-            else:
-                if need_a:
-                    ga = og @ np.swapaxes(bd, -1, -2)
-                if need_b:
-                    gb = np.swapaxes(ad, -1, -2) @ og
-            return ga, gb
+    def vjp(og):
+        ga = gb = None
+        if shared:
+            og2 = og.reshape(-1, og.shape[-1])
+            if need_a:
+                ga = (og2 @ bd.T).reshape(ad.shape)
+            if need_b:
+                gb = a2.T @ og2
+        else:
+            if need_a:
+                ga = og @ np.swapaxes(bd, -1, -2)
+            if need_b:
+                gb = np.swapaxes(ad, -1, -2) @ og
+        return ga, gb
 
-        return vjp
-
-    return _emit("matmul", data, (a, b), make_vjp)
+    return _emit("matmul", data, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -278,7 +259,11 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError(f"transpose needs at least 2 dims, got shape {a.shape}")
     data = np.swapaxes(a.data, -1, -2)
-    return _emit("transpose", data, (a,), lambda tape: lambda og: (np.swapaxes(og, -1, -2),))
+
+    def vjp(og):
+        return (np.swapaxes(og, -1, -2),)
+
+    return _emit("transpose", data, (a,), vjp)
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str):
@@ -301,26 +286,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
     data = a.data + b.data
 
-    def make_vjp(tape):
-        def vjp(og):
-            return _reduce_to(og, a.data.shape), _reduce_to(og, b.data.shape)
+    def vjp(og):
+        return _reduce_to(og, a.data.shape), _reduce_to(og, b.data.shape)
 
-        return vjp
-
-    return _emit("add", data, (a, b), make_vjp)
+    return _emit("add", data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "sub")
     data = a.data - b.data
 
-    def make_vjp(tape):
-        def vjp(og):
-            return _reduce_to(og, a.data.shape), _reduce_to(-og, b.data.shape)
+    def vjp(og):
+        return _reduce_to(og, a.data.shape), _reduce_to(-og, b.data.shape)
 
-        return vjp
-
-    return _emit("sub", data, (a, b), make_vjp)
+    return _emit("sub", data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -328,20 +307,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "mul")
     data = a.data * b.data
 
-    def make_vjp(tape):
-        def vjp(og):
-            return _reduce_to(og * b.data, a.data.shape), _reduce_to(og * a.data, b.data.shape)
+    def vjp(og):
+        return _reduce_to(og * b.data, a.data.shape), _reduce_to(og * a.data, b.data.shape)
 
-        return vjp
-
-    return _emit("mul", data, (a, b), make_vjp)
+    return _emit("mul", data, (a, b), vjp)
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
     """Scale by a python float constant (not differentiated through c)."""
     c = float(c)
     data = a.data * c
-    return _emit("mul_scalar", data, (a,), lambda tape: lambda og: (og * c,))
+
+    def vjp(og):
+        return (og * c,)
+
+    return _emit("mul_scalar", data, (a,), vjp)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -350,15 +330,10 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add_bias needs x[..., n] and b[n], got {x.shape} and {b.shape}")
     data = x.data + b.data
 
-    def make_vjp(tape):
-        axes = tuple(range(x.data.ndim - 1))
+    def vjp(og):
+        return og, og.sum(axis=tuple(range(og.ndim - 1)))
 
-        def vjp(og):
-            return og, og.sum(axis=axes)
-
-        return vjp
-
-    return _emit("add_bias", data, (x, b), make_vjp)
+    return _emit("add_bias", data, (x, b), vjp)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -368,14 +343,11 @@ def softmax_rows(a: Tensor) -> Tensor:
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
 
-    def make_vjp(tape):
-        def vjp(og):
-            dot = (og * s).sum(axis=-1, keepdims=True)
-            return (s * (og - dot),)
+    def vjp(og):
+        dot = (og * s).sum(axis=-1, keepdims=True)
+        return (s * (og - dot),)
 
-        return vjp
-
-    return _emit("softmax_rows", s, (a,), make_vjp)
+    return _emit("softmax_rows", s, (a,), vjp)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -387,14 +359,11 @@ def gelu(a: Tensor) -> Tensor:
     cdf *= 0.5
     data = x * cdf
 
-    def make_vjp(tape):
-        def vjp(og):
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-            return (og * (cdf + x * pdf),)
+    def vjp(og):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+        return (og * (cdf + x * pdf),)
 
-        return vjp
-
-    return _emit("gelu", data, (a,), make_vjp)
+    return _emit("gelu", data, (a,), vjp)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -406,13 +375,10 @@ def sigmoid(a: Tensor) -> Tensor:
     ex = np.exp(x[~pos])
     s[~pos] = ex / (1.0 + ex)
 
-    def make_vjp(tape):
-        def vjp(og):
-            return (og * s * (1.0 - s),)
+    def vjp(og):
+        return (og * s * (1.0 - s),)
 
-        return vjp
-
-    return _emit("sigmoid", s, (a,), make_vjp)
+    return _emit("sigmoid", s, (a,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -435,23 +401,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     data = xhat * gain.data
     data += bias.data
 
-    def make_vjp(tape):
-        lead = tuple(range(x.data.ndim - 1))
+    def vjp(og):
+        lead = tuple(range(og.ndim - 1))
+        dxhat = og * gain.data
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        dgain = (og * xhat).sum(axis=lead)
+        dbias = og.sum(axis=lead)
+        return dx, dgain, dbias
 
-        def vjp(og):
-            dxhat = og * gain.data
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-            dgain = (og * xhat).sum(axis=lead)
-            dbias = og.sum(axis=lead)
-            return dx, dgain, dbias
-
-        return vjp
-
-    return _emit("layer_norm", data, (x, gain, bias), make_vjp)
+    return _emit("layer_norm", data, (x, gain, bias), vjp)
 
 
 def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator], training: bool) -> Tensor:
@@ -464,7 +426,11 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator], training
         raise ConfigError("training-mode dropout requires an explicit rng")
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     data = x.data * mask
-    return _emit("dropout", data, (x,), lambda tape: lambda og: (og * mask,))
+
+    def vjp(og):
+        return (og * mask,)
+
+    return _emit("dropout", data, (x,), vjp)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -475,15 +441,11 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         raise ShapeError("concat needs at least one tensor")
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
-    def make_vjp(tape):
+    def vjp(og):
         splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+        return tuple(np.split(og, splits, axis=axis))
 
-        def vjp(og):
-            return tuple(np.split(og, splits, axis=axis))
-
-        return vjp
-
-    return _emit("concat", data, tuple(tensors), make_vjp)
+    return _emit("concat", data, tuple(tensors), vjp)
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -498,13 +460,10 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
     d_k = width // n_heads
     data = np.moveaxis(x.data.reshape(*lead, t, n_heads, d_k), -2, 0)
 
-    def make_vjp(tape):
-        def vjp(og):
-            return (np.moveaxis(og, 0, -2).reshape(x.data.shape),)
+    def vjp(og):
+        return (np.moveaxis(og, 0, -2).reshape(x.data.shape),)
 
-        return vjp
-
-    return _emit("split_heads", data, (x,), make_vjp)
+    return _emit("split_heads", data, (x,), vjp)
 
 
 def merge_heads(x: Tensor) -> Tensor:
@@ -518,13 +477,10 @@ def merge_heads(x: Tensor) -> Tensor:
     h, *lead, t, d_k = x.data.shape
     data = np.moveaxis(x.data, 0, -2).reshape(*lead, t, h * d_k)
 
-    def make_vjp(tape):
-        def vjp(og):
-            return (np.moveaxis(og.reshape(*lead, t, h, d_k), -2, 0),)
+    def vjp(og):
+        return (np.moveaxis(og.reshape(*lead, t, h, d_k), -2, 0),)
 
-        return vjp
-
-    return _emit("merge_heads", data, (x,), make_vjp)
+    return _emit("merge_heads", data, (x,), vjp)
 
 
 def select_row(x: Tensor, index: int) -> Tensor:
@@ -536,15 +492,12 @@ def select_row(x: Tensor, index: int) -> Tensor:
         raise ShapeError(f"select_row index {index} out of range for {m} rows")
     data = x.data[..., index, :]
 
-    def make_vjp(tape):
-        def vjp(og):
-            full = np.zeros_like(x.data)
-            full[..., index, :] = og
-            return (full,)
+    def vjp(og):
+        full = np.zeros_like(x.data)
+        full[..., index, :] = og
+        return (full,)
 
-        return vjp
-
-    return _emit("select_row", data, (x,), make_vjp)
+    return _emit("select_row", data, (x,), vjp)
 
 
 def permute_rows(x: Tensor, perm: np.ndarray) -> Tensor:
@@ -555,34 +508,42 @@ def permute_rows(x: Tensor, perm: np.ndarray) -> Tensor:
         raise ShapeError(f"permute_rows needs a permutation of 0..{m - 1}")
     data = np.take(x.data, perm, axis=-2)
 
-    def make_vjp(tape):
+    def vjp(og):
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(m)
+        return (np.take(og, inverse, axis=-2),)
 
-        def vjp(og):
-            return (np.take(og, inverse, axis=-2),)
-
-        return vjp
-
-    return _emit("permute_rows", data, (x,), make_vjp)
+    return _emit("permute_rows", data, (x,), vjp)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     if int(np.prod(shape)) != x.data.size:
         raise ShapeError(f"cannot reshape {x.shape} into {shape}")
     data = x.data.reshape(shape)
-    return _emit("reshape", data, (x,), lambda tape: lambda og: (og.reshape(x.data.shape),))
+
+    def vjp(og):
+        return (og.reshape(x.data.shape),)
+
+    return _emit("reshape", data, (x,), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
     data = np.asarray(x.data.sum())
-    return _emit("sum_all", data, (x,), lambda tape: lambda og: (np.full(x.data.shape, og.reshape(())),))
+
+    def vjp(og):
+        return (np.full(x.data.shape, og.reshape(())),)
+
+    return _emit("sum_all", data, (x,), vjp)
 
 
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
     data = np.asarray(x.data.mean())
-    return _emit("mean_all", data, (x,), lambda tape: lambda og: (np.full(x.data.shape, og.reshape(()) / n),))
+
+    def vjp(og):
+        return (np.full(x.data.shape, og.reshape(()) / n),)
+
+    return _emit("mean_all", data, (x,), vjp)
 
 
 def feature_embed(x: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
@@ -600,15 +561,12 @@ def feature_embed(x: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"feature count mismatch: x has {x.shape[1]}, w has {w.data.shape[0]}")
     data = x[:, :, None] * w.data[None, :, :] + b.data[None, :, :]
 
-    def make_vjp(tape):
-        def vjp(og):
-            gw = np.einsum("nf,nfd->fd", x, og)
-            gb = og.sum(axis=0)
-            return gw, gb
+    def vjp(og):
+        gw = np.einsum("nf,nfd->fd", x, og)
+        gb = og.sum(axis=0)
+        return gw, gb
 
-        return vjp
-
-    return _emit("feature_embed", data, (w, b), make_vjp)
+    return _emit("feature_embed", data, (w, b), vjp)
 
 
 def embedding_rows(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -621,15 +579,12 @@ def embedding_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = ids.astype(np.intp)
     data = table.data[ids]
 
-    def make_vjp(tape):
-        def vjp(og):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, og)
-            return (gt,)
+    def vjp(og):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids, og)
+        return (gt,)
 
-        return vjp
-
-    return _emit("embedding_rows", data, (table,), make_vjp)
+    return _emit("embedding_rows", data, (table,), vjp)
 
 
 def repeat_token(v: Tensor, count: int) -> Tensor:
@@ -638,13 +593,10 @@ def repeat_token(v: Tensor, count: int) -> Tensor:
         raise ShapeError(f"repeat_token needs a 1-D vector, got shape {v.shape}")
     data = np.tile(v.data, (count, 1, 1))
 
-    def make_vjp(tape):
-        def vjp(og):
-            return (og.sum(axis=(0, 1)),)
+    def vjp(og):
+        return (og.sum(axis=(0, 1)),)
 
-        return vjp
-
-    return _emit("repeat_token", data, (v,), make_vjp)
+    return _emit("repeat_token", data, (v,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from .data import (
     stratified_k_fold,
     write_csv,
 )
-from .errors import ConfigError, DataError, NumericError, ShapeError
-from .evaluation import pr_points_to_csv, run_cv
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types
+from .evaluation import VAL_FRACTION, pr_points_to_csv, run_cv
 from .importance import permutation_importance
 from .model import MODELS, build_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
@@ -57,6 +57,9 @@ class RunConfig:
     identity_check: bool = False
     schema_hints: dict = field(default_factory=dict)
     add_missing_indicators: bool = False
+
+    def __post_init__(self):
+        check_field_types(self)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -191,7 +194,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "data", "target")
     dataset = _load_dataset(cfg)
-    val_mask = stratified_holdout(dataset.labels, 0.125, cfg.seed)
+    val_mask = stratified_holdout(dataset.labels, VAL_FRACTION, cfg.seed)
     fit_rows = dataset.rows[~val_mask]
     stats = fit_standardizer(fit_rows, dataset.schema)
     model = build_model(

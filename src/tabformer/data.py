@@ -113,6 +113,11 @@ class FeatureSchema:
 
     @staticmethod
     def from_dict(doc: dict) -> "FeatureSchema":
+        columns = doc.get("columns") if isinstance(doc, dict) else None
+        if not isinstance(columns, list) or not all(
+            isinstance(c, dict) and "name" in c and "kind" in c for c in columns
+        ):
+            raise DataError("a schema needs a list of columns, each with a name and a kind")
         cols = tuple(
             ColumnSchema(
                 name=c["name"],
@@ -121,7 +126,7 @@ class FeatureSchema:
                 mean=c.get("mean"),
                 std=c.get("std"),
             )
-            for c in doc["columns"]
+            for c in columns
         )
         return FeatureSchema(cols)
 
@@ -226,7 +231,6 @@ def _build_dataset(
     n = len(cells)
     matrix = np.zeros((n, n_cols), dtype=np.float64)
     missing = np.zeros((n, n_cols), dtype=bool)
-    vocabularies: list = [None] * n_cols
     columns = []
     for j, (name, kind) in enumerate(zip(names, kinds)):
         if kind == NUMERIC:
@@ -247,7 +251,6 @@ def _build_dataset(
                 if tok not in vocab:
                     vocab[tok] = len(vocab)  # first-appearance order
                 matrix[i, j] = vocab[tok]
-            vocabularies[j] = tuple(vocab)
             columns.append(ColumnSchema(name=name, kind=CATEGORICAL, vocabulary=tuple(vocab)))
 
     if add_missing_indicators:

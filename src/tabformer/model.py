@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .data import CATEGORICAL, NUMERIC, FeatureSchema
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types
 from .seeding import stream_rng
 
 
@@ -42,13 +42,14 @@ class ModelConfig:
     layer_norm_eps: float = 1e-5
 
     def __post_init__(self):
+        check_field_types(self)
         for label, v in (
             ("embed_dim", self.embed_dim),
             ("n_heads", self.n_heads),
             ("n_blocks", self.n_blocks),
             ("ffn_dim", self.ffn_dim),
         ):
-            if int(v) < 1:
+            if v < 1:
                 raise ConfigError(f"{label} must be at least 1, got {v}")
         if self.embed_dim % self.n_heads != 0:
             raise ConfigError(
@@ -444,17 +445,22 @@ def load_checkpoint(prefix):
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{prefix}.json: invalid manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{prefix}.json: manifest must be a JSON object")
     missing = [k for k in _MANIFEST_KEYS if k not in manifest]
     if missing:
         raise DataError(f"{prefix}.json: manifest lacks {missing}")
-    schema = FeatureSchema.from_dict(manifest["schema"])
-    if schema.fingerprint() != manifest["schema_fingerprint"]:
-        raise DataError("checkpoint schema does not match its recorded fingerprint")
-    kind = manifest["kind"]
-    if kind not in MODELS:
+    kind, config, seed = manifest["kind"], manifest["config"], manifest["seed"]
+    if not isinstance(kind, str) or kind not in MODELS:
         raise DataError(f"checkpoint has unknown model kind {kind!r}")
+    if not isinstance(config, dict) or isinstance(seed, bool) or not isinstance(seed, int):
+        raise DataError(f"{prefix}.json: manifest needs a config object and an integer seed")
+    # the manifest is data: a value its own checks reject is a DataError
     try:
-        model = MODELS[kind](schema, manifest["seed"], manifest["config"])
+        schema = FeatureSchema.from_dict(manifest["schema"])
+        if schema.fingerprint() != manifest["schema_fingerprint"]:
+            raise DataError("checkpoint schema does not match its recorded fingerprint")
+        model = MODELS[kind](schema, seed, config)
     except ConfigError as exc:
         raise DataError(f"{prefix}.json: {exc}") from None
     with open(prefix + ".bin", "rb") as fh:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, check_field_types
 from .seeding import stream_rng
 
 _CLAMP_LO = 1e-7
@@ -37,6 +37,7 @@ class TrainConfig:
     eps_adam: float = 1e-8
 
     def __post_init__(self):
+        check_field_types(self)
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         for b in self.betas:
@@ -66,7 +67,7 @@ class TrainConfig:
     @staticmethod
     def from_dict(doc: dict) -> "TrainConfig":
         doc = dict(doc)
-        if "betas" in doc:
+        if isinstance(doc.get("betas"), list):  # JSON has no tuples
             doc["betas"] = tuple(doc["betas"])
         return TrainConfig(**doc)
 
@@ -102,17 +103,11 @@ def balanced_bce(probs: Tensor, labels: np.ndarray, weights: Tuple[float, float]
     terms = -(w1 * y * np.log(pc) + w0 * (1.0 - y) * np.log(1.0 - pc))
     value = np.asarray(terms.mean())
 
-    def make_vjp(_tape):
-        n = y.shape[0]
-        base = (-w1 * y / pc + w0 * (1.0 - y) / (1.0 - pc)) / n
-        base = np.where(unclamped, base, 0.0)
+    def vjp(og):
+        base = (-w1 * y / pc + w0 * (1.0 - y) / (1.0 - pc)) / y.shape[0]
+        return [og.reshape(()) * np.where(unclamped, base, 0.0)]
 
-        def vjp(og):
-            return [og.reshape(()) * base]
-
-        return vjp
-
-    return ad._emit("balanced_bce", value, [probs], make_vjp)
+    return ad._emit("balanced_bce", value, [probs], vjp)
 
 
 class AdamW:

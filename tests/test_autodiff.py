@@ -1,6 +1,7 @@
 """Tensor engine tests: forward values against independent oracles,
 backward rules against central finite differences."""
 
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from tabformer import autodiff as ad
 from tabformer.errors import ConfigError, NumericError, ShapeError
+from tabformer.training import balanced_bce
 
 
 def tensor(data, requires_grad=False):
@@ -374,3 +376,103 @@ class TestGradCheck:
         e1 = ad.grad_check(f, [x], max_coords_per_param=5, rng=np.random.default_rng(1))
         e2 = ad.grad_check(f, [x], max_coords_per_param=5, rng=np.random.default_rng(1))
         assert e1 == e2
+
+
+# ---------------------------------------------------------------------------
+# op shape: what the benchmark's per-op tracing relies on
+
+
+def _public_ops():
+    """Every public function of ``autodiff`` that is not tape plumbing,
+    listed the way the benchmark's per-op tracer lists them."""
+    return sorted(
+        name
+        for name, fn in vars(ad).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == ad.__name__
+        and not name.startswith("_")
+        and name not in {"active_tape", "backward", "grad_check"}
+    )
+
+
+def _op_cases():
+    """op name -> (call, inputs): ``call(*inputs)`` runs the op once."""
+    rng = np.random.default_rng(5)
+
+    def t(*shape):
+        return tensor(rng.uniform(0.1, 0.9, shape), requires_grad=True)
+
+    return {
+        # the raw left operand is untracked, so its gradient is None
+        "matmul": (ad.matmul, [tensor(rng.uniform(size=(2, 3))), t(3, 4)]),
+        "transpose": (ad.transpose, [t(2, 3, 4)]),
+        "add": (ad.add, [t(2, 3), t(2, 3)]),
+        "sub": (ad.sub, [t(2, 3), t(1)]),
+        "mul": (ad.mul, [t(1), t(2, 3)]),
+        "mul_scalar": (lambda a: ad.mul_scalar(a, 3.0), [t(2, 3)]),
+        "add_bias": (ad.add_bias, [t(2, 3, 4), t(4)]),
+        "softmax_rows": (ad.softmax_rows, [t(2, 3)]),
+        "gelu": (ad.gelu, [t(2, 3)]),
+        "sigmoid": (ad.sigmoid, [t(2, 3)]),
+        "layer_norm": (ad.layer_norm, [t(2, 3, 4), t(4), t(4)]),
+        "dropout": (
+            lambda x: ad.dropout(x, 0.5, np.random.default_rng(0), training=True),
+            [t(2, 3)],
+        ),
+        "concat": (lambda a, b: ad.concat([a, b], axis=-2), [t(2, 1, 4), t(2, 3, 4)]),
+        "split_heads": (lambda x: ad.split_heads(x, 2), [t(2, 3, 4)]),
+        "merge_heads": (ad.merge_heads, [t(2, 2, 3, 2)]),
+        "select_row": (lambda x: ad.select_row(x, -1), [t(2, 3, 4)]),
+        "permute_rows": (lambda x: ad.permute_rows(x, [2, 0, 1]), [t(2, 3, 4)]),
+        "reshape": (lambda x: ad.reshape(x, (3, 2)), [t(2, 3)]),
+        "sum_all": (ad.sum_all, [t(2, 3)]),
+        "mean_all": (ad.mean_all, [t(2, 3)]),
+        "feature_embed": (
+            lambda w, b: ad.feature_embed(rng.uniform(size=(5, 3)), w, b),
+            [t(3, 4), t(3, 4)],
+        ),
+        "embedding_rows": (lambda table: ad.embedding_rows(table, [2, 0, 2]), [t(3, 4)]),
+        "repeat_token": (lambda v: ad.repeat_token(v, 3), [t(4)]),
+        "balanced_bce": (
+            lambda p: balanced_bce(p, np.array([1.0, 0.0, 1.0]), (0.75, 1.5)),
+            [t(3)],
+        ),
+    }
+
+
+def test_op_cases_cover_every_public_op():
+    assert set(_public_ops()) <= set(_op_cases())
+
+
+@pytest.mark.parametrize("name", sorted(_op_cases()))
+def test_op_records_one_node_with_an_output_gradient_vjp(name):
+    call, inputs = _op_cases()[name]
+    with ad.Tape() as tape:
+        out = call(*inputs)
+    assert len(tape.nodes) == 1
+    node = tape.nodes[0]
+    assert node.out is out
+    assert [id(t) for t in node.inputs] == [id(t) for t in inputs]
+    grads = node.vjp(np.ones_like(out.data))
+    assert len(grads) == len(inputs)
+    for t, g in zip(inputs, grads):
+        assert g is None or g.shape == t.shape
+
+
+@pytest.mark.parametrize("name", sorted(_op_cases()))
+def test_op_without_tape_records_nothing(name, monkeypatch):
+    call, inputs = _op_cases()[name]
+    added = []
+    monkeypatch.setattr(ad.Tape, "_add", lambda self, *node: added.append(node))
+    out = call(*inputs)
+    assert isinstance(out, ad.Tensor)
+    assert added == []
+
+
+def test_matmul_gives_no_gradient_to_an_untracked_operand():
+    call, inputs = _op_cases()["matmul"]
+    with ad.Tape() as tape:
+        out = call(*inputs)
+    ga, gb = tape.nodes[0].vjp(np.ones_like(out.data))
+    assert ga is None
+    assert np.array_equal(gb, inputs[0].data.T @ np.ones_like(out.data))

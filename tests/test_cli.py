@@ -12,6 +12,7 @@ from tabformer.cli import RunConfig, build_parser, main
 from tabformer.data import load_csv
 from tabformer.errors import ConfigError
 from tabformer.model import MODELS, load_checkpoint
+from tabformer.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -420,3 +421,70 @@ def test_manifest_unknown_config_key_exits_3(trained_dir, data_path, tmp_path, c
     err = capsys.readouterr().err
     assert "embed_size" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"k_folds": "5"},
+        {"seed": "1"},
+        {"train_config": {"lr": "x"}},
+        {"train_config": {"betas": 5}},
+        {"train_config": {"max_epochs": 1.5}},
+        {"model": "transformer", "model_config": {"embed_dim": "64"}},
+        {"model": "transformer", "model_config": {"dropout": "0.1"}},
+        {"model": "transformer", "model_config": {"embed_dim": True}},
+    ],
+)
+def test_wrongly_typed_config_value_exits_2(data_path, tmp_path, capsys, overrides):
+    cfg = run_config_file(tmp_path, **overrides)
+    rc = main([
+        "train", "--config", cfg, "--data", data_path, "--target", "label",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_integer_config_value_is_a_valid_float():
+    assert TrainConfig.from_dict({"weight_decay": 0}).weight_decay == 0
+
+
+def _set(key, value, kind=None):
+    def edit(manifest):
+        manifest[key] = value
+        if kind is not None:
+            manifest["kind"] = kind
+
+    return edit
+
+
+def _drop_column_kind(manifest):
+    del manifest["schema"]["columns"][0]["kind"]
+
+
+def _unknown_column_kind(manifest):
+    manifest["schema"]["columns"][0]["kind"] = "ordinal"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("schema", {}),
+        _drop_column_kind,
+        _unknown_column_kind,
+        _set("seed", "x"),
+        _set("config", []),
+        _set("config", [], kind="transformer"),
+        _set("kind", ["x"]),
+        _set("config", {"embed_dim": "64"}, kind="transformer"),
+    ],
+    ids=[
+        "empty-schema", "column-without-kind", "unknown-column-kind", "string-seed",
+        "list-config", "list-transformer-config", "list-kind", "string-embed-dim",
+    ],
+)
+def test_malformed_manifest_value_exits_3(trained_dir, data_path, tmp_path, capsys, edit):
+    rc = _importance_with_manifest(trained_dir, data_path, tmp_path, edit)
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
