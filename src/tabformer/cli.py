@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ from .data import (
     stratified_k_fold,
     write_csv,
 )
-from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict
 from .evaluation import VAL_FRACTION, pr_points_to_csv, run_cv
 from .importance import permutation_importance
 from .model import MODELS, build_model, load_checkpoint, save_checkpoint
@@ -64,13 +64,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(doc: dict) -> "RunConfig":
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return RunConfig(**doc)
+    from_dict = classmethod(from_dict)
 
 
 def _load_config_file(path: Optional[str]) -> RunConfig:
@@ -83,8 +77,6 @@ def _load_config_file(path: Optional[str]) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
     return RunConfig.from_dict(doc)
 
 
@@ -130,9 +122,7 @@ def _echo_config(cfg: RunConfig) -> None:
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    doc = dict(cfg.train_config)
-    doc.setdefault("seed", cfg.seed)
-    return TrainConfig.from_dict(doc)
+    return TrainConfig.from_dict({"seed": cfg.seed, **cfg.train_config})
 
 
 def _load_dataset(cfg: RunConfig):

@@ -19,13 +19,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .autodiff import Tensor, sigmoid
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_field_types, from_dict
 from .seeding import stream_rng
 
 NUMERIC = "numeric"
@@ -44,9 +44,12 @@ _GEN_MISSING_BASE = 2_000_000
 class ColumnSchema:
     name: str
     kind: str
-    vocabulary: tuple = ()
+    vocabulary: Tuple[str, ...] = ()
     mean: Optional[float] = None
     std: Optional[float] = None
+
+    def __post_init__(self):
+        check_field_types(self)
 
     @property
     def n_categories(self) -> int:
@@ -60,9 +63,10 @@ class ColumnSchema:
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    columns: tuple
+    columns: Tuple[ColumnSchema, ...]
 
     def __post_init__(self):
+        check_field_types(self)
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise DataError("duplicate column names in schema")
@@ -98,37 +102,9 @@ class FeatureSchema:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_dict(self) -> dict:
-        return {
-            "columns": [
-                {
-                    "name": c.name,
-                    "kind": c.kind,
-                    "vocabulary": list(c.vocabulary),
-                    "mean": c.mean,
-                    "std": c.std,
-                }
-                for c in self.columns
-            ]
-        }
+        return asdict(self)
 
-    @staticmethod
-    def from_dict(doc: dict) -> "FeatureSchema":
-        columns = doc.get("columns") if isinstance(doc, dict) else None
-        if not isinstance(columns, list) or not all(
-            isinstance(c, dict) and "name" in c and "kind" in c for c in columns
-        ):
-            raise DataError("a schema needs a list of columns, each with a name and a kind")
-        cols = tuple(
-            ColumnSchema(
-                name=c["name"],
-                kind=c["kind"],
-                vocabulary=tuple(c.get("vocabulary", ())),
-                mean=c.get("mean"),
-                std=c.get("std"),
-            )
-            for c in columns
-        )
-        return FeatureSchema(cols)
+    from_dict = classmethod(from_dict)
 
 
 @dataclass(frozen=True)
@@ -143,7 +119,6 @@ class Dataset:
     rows: np.ndarray
     labels: np.ndarray
     schema: FeatureSchema
-    row_ids: tuple
 
     def __post_init__(self):
         if self.rows.ndim != 2 or self.rows.shape[0] != self.labels.shape[0]:
@@ -172,7 +147,6 @@ class Dataset:
             rows=self.rows[idx].copy(),
             labels=self.labels[idx].copy(),
             schema=self.schema,
-            row_ids=tuple(self.row_ids[i] for i in idx),
         )
 
 
@@ -262,7 +236,7 @@ def _build_dataset(
 
     schema = FeatureSchema(tuple(columns))
     labels_arr = np.asarray(labels, dtype=np.int64)
-    return Dataset(rows=matrix, labels=labels_arr, schema=schema, row_ids=tuple(range(n)))
+    return Dataset(rows=matrix, labels=labels_arr, schema=schema)
 
 
 def load_csv(
@@ -424,6 +398,9 @@ class GeneratorColumn:
     categories: int = 2
     missing: bool = False
 
+    def __post_init__(self):
+        check_field_types(self)
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -436,16 +413,18 @@ class GeneratorSpec:
     blanks the cell after the label was drawn from the full value.
     """
 
-    columns: tuple
-    weights: tuple
+    columns: Tuple[GeneratorColumn, ...]
+    weights: Tuple[float, ...]
     bias: float = 0.0
     noise_rate: float = 0.0
     missing_rate: float = 0.0
-    interactions: tuple = ()  # ((i, j), weight) pairs added to the logit
+    # ((i, j), weight) pairs added to the logit
+    interactions: Tuple[Tuple[Tuple[int, int], float], ...] = ()
     seed: int = 0
     target: str = "label"
 
     def __post_init__(self):
+        check_field_types(self)
         if len(self.weights) != len(self.columns):
             raise ConfigError(
                 f"{len(self.weights)} weights for {len(self.columns)} columns"
@@ -463,47 +442,22 @@ class GeneratorSpec:
                 raise ConfigError(f"column {col.name!r} needs at least 2 categories")
 
     def to_dict(self) -> dict:
-        return {
-            "columns": [
-                {"name": c.name, "kind": c.kind, "categories": c.categories, "missing": c.missing}
-                for c in self.columns
-            ],
-            "weights": list(self.weights),
-            "bias": self.bias,
-            "noise_rate": self.noise_rate,
-            "missing_rate": self.missing_rate,
-            "interactions": [{"pair": [i, j], "weight": w} for (i, j), w in self.interactions],
-            "seed": self.seed,
-            "target": self.target,
-        }
+        doc = asdict(self)
+        doc["interactions"] = [{"pair": [i, j], "weight": w} for (i, j), w in self.interactions]
+        return doc
 
-    @staticmethod
-    def from_dict(doc: dict) -> "GeneratorSpec":
-        try:
-            columns = tuple(
-                GeneratorColumn(
-                    name=c["name"],
-                    kind=c.get("kind", NUMERIC),
-                    categories=int(c.get("categories", 2)),
-                    missing=bool(c.get("missing", False)),
-                )
-                for c in doc["columns"]
-            )
-            return GeneratorSpec(
-                columns=columns,
-                weights=tuple(float(w) for w in doc["weights"]),
-                bias=float(doc.get("bias", 0.0)),
-                noise_rate=float(doc.get("noise_rate", 0.0)),
-                missing_rate=float(doc.get("missing_rate", 0.0)),
-                interactions=tuple(
-                    ((int(e["pair"][0]), int(e["pair"][1])), float(e["weight"]))
-                    for e in doc.get("interactions", ())
-                ),
-                seed=int(doc.get("seed", 0)),
-                target=str(doc.get("target", "label")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed generator spec: {exc}") from exc
+    @classmethod
+    def from_dict(cls, doc) -> "GeneratorSpec":
+        """The shared reader, once each ``{"pair": [i, j], "weight": w}``
+        interaction is the ``((i, j), w)`` pair it stands for."""
+        if isinstance(doc, dict) and isinstance(doc.get("interactions"), list):
+            pairs = []
+            for e in doc["interactions"]:
+                if not isinstance(e, dict) or set(e) != {"pair", "weight"}:
+                    raise ConfigError(f'an interaction is {{"pair": [i, j], "weight": w}}, got {e!r}')
+                pairs.append((e["pair"], e["weight"]))
+            doc = {**doc, "interactions": pairs}
+        return from_dict(cls, doc)
 
 
 def load_generator_spec(path) -> GeneratorSpec:

@@ -11,7 +11,7 @@ order (or in parallel) without changing results.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,22 +39,7 @@ class ImportanceReport:
     features: list  # sorted by rank
 
     def to_dict(self) -> dict:
-        return {
-            "baseline_f1": self.baseline_f1,
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "features": [
-                {
-                    "name": f.name,
-                    "index": f.index,
-                    "mean_drop": f.mean_drop,
-                    "std_drop": f.std_drop,
-                    "rank": f.rank,
-                }
-                for f in self.features
-            ],
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

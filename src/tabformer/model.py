@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .data import CATEGORICAL, NUMERIC, FeatureSchema
-from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict
 from .seeding import stream_rng
 
 
@@ -69,13 +69,7 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(doc: dict) -> "ModelConfig":
-        """Missing keys take their defaults; unknown keys are a ConfigError."""
-        unknown = set(doc) - {f.name for f in fields(ModelConfig)}
-        if unknown:
-            raise ConfigError(f"unknown model_config fields: {sorted(unknown)}")
-        return ModelConfig(**doc)
+    from_dict = classmethod(from_dict)
 
 
 def _uniform(rng: np.random.Generator, shape, bound: float) -> np.ndarray:
@@ -348,10 +342,12 @@ class MlpModel(ScoringModel):
     stack is logistic regression (``LogisticModel``)."""
 
     kind = "mlp"
+    hidden: Tuple[int, ...]
 
     def __init__(self, schema: FeatureSchema, hidden: Sequence[int] = (64, 64), seed: int = 0):
         self.schema = schema
-        self.hidden = tuple(int(h) for h in hidden)
+        self.hidden = tuple(hidden) if isinstance(hidden, list) else hidden
+        check_field_types(self)
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden sizes must be positive, got {self.hidden}")
         self.seed = int(seed)

@@ -12,6 +12,8 @@ Stream derivations used across the package:
 
 import numpy as np
 
+from .errors import ConfigError
+
 _STREAMS = {
     "folds": 1,
     "shuffle": 2,
@@ -27,9 +29,11 @@ def stream_rng(seed: int, stream: str, *key: int) -> np.random.Generator:
 
     The (seed, stream id, key...) tuple feeds a SeedSequence, so streams
     never collide and the mapping is stable across runs and platforms.
+    A negative seed or key is a ConfigError.
     """
     if stream not in _STREAMS:
         raise KeyError(f"unknown RNG stream {stream!r}")
-    return np.random.default_rng(
-        np.random.SeedSequence((int(seed), _STREAMS[stream]) + tuple(int(k) for k in key))
-    )
+    entropy = (int(seed), _STREAMS[stream]) + tuple(int(k) for k in key)
+    if min(entropy) < 0:
+        raise ConfigError(f"seeds must be non-negative, got seed {seed} with key {key}")
+    return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -10,14 +10,14 @@ other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, DataError, ShapeError, check_field_types
+from .errors import ConfigError, DataError, ShapeError, check_field_types, from_dict
 from .seeding import stream_rng
 
 _CLAMP_LO = 1e-7
@@ -53,23 +53,9 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "betas": list(self.betas),
-            "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-            "eps_adam": self.eps_adam,
-        }
+        return asdict(self)
 
-    @staticmethod
-    def from_dict(doc: dict) -> "TrainConfig":
-        doc = dict(doc)
-        if isinstance(doc.get("betas"), list):  # JSON has no tuples
-            doc["betas"] = tuple(doc["betas"])
-        return TrainConfig(**doc)
+    from_dict = classmethod(from_dict)
 
 
 def class_weights(labels: np.ndarray) -> Tuple[float, float]:

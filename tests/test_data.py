@@ -156,23 +156,23 @@ class TestDatasetValidation:
 
     def test_non_binary_labels(self):
         with pytest.raises(DataError):
-            Dataset(np.zeros((2, 1)), np.array([0, 2]), self.schema(), (0, 1))
+            Dataset(np.zeros((2, 1)), np.array([0, 2]), self.schema())
 
     def test_non_finite_rows(self):
         with pytest.raises(DataError):
-            Dataset(np.array([[np.nan]]), np.array([0]), self.schema(), (0,))
+            Dataset(np.array([[np.nan]]), np.array([0]), self.schema())
 
     def test_categorical_code_out_of_range(self):
         schema = FeatureSchema((ColumnSchema("c", CATEGORICAL, vocabulary=("x",)),))
-        Dataset(np.array([[1.0]]), np.array([0]), schema, (0,))  # UNK code ok
+        Dataset(np.array([[1.0]]), np.array([0]), schema)  # UNK code ok
         with pytest.raises(DataError):
-            Dataset(np.array([[2.0]]), np.array([0]), schema, (0,))
+            Dataset(np.array([[2.0]]), np.array([0]), schema)
 
-    def test_subset_keeps_row_ids(self):
-        ds = Dataset(np.arange(4.0).reshape(4, 1), np.array([0, 1, 0, 1]), self.schema(), (0, 1, 2, 3))
+    def test_subset_selects_rows_in_order(self):
+        ds = Dataset(np.arange(4.0).reshape(4, 1), np.array([0, 1, 0, 1]), self.schema())
         sub = ds.subset(np.array([3, 1]))
-        assert sub.row_ids == (3, 1)
         assert sub.rows[:, 0].tolist() == [3.0, 1.0]
+        assert sub.labels.tolist() == [1, 1]
 
 
 class TestStandardizer:
