@@ -28,6 +28,20 @@ Gradients accumulate into ``requires_grad`` leaves across backward
 calls; intermediate flow buffers are local to each backward pass, so
 backpropagating a sum of two losses equals the sum of two separate
 passes.
+
+Fused ops. ``attention_sublayer`` and ``ffn_sublayer`` each run one
+pre-norm residual sublayer of a transformer block as a single op with
+a hand-written ``vjp`` over the buffers its forward pass saved, and one
+finiteness check on its output. Tiling rule: they walk the leading
+(sample) axis in tiles of ``_tile_rows`` samples, sized so that one
+sample's widest intermediate times the tile stays within a fixed
+element budget (no setting), writing into full-batch buffers. The
+weight, bias and gain gradients are full-batch reductions, and so are
+the vjp's input-gradient GEMMs. Oracle rule: the primitive ops stay,
+and a fused op must equal its composite of primitives bit for bit in
+the forward pass, draw its dropout masks by the same ``rng.random``
+calls in the same order, and match the composite's gradients (the
+tests allow 1e-12).
 """
 
 from __future__ import annotations
@@ -597,6 +611,247 @@ def repeat_token(v: Tensor, count: int) -> Tensor:
         return (og.sum(axis=(0, 1)),)
 
     return _emit("repeat_token", data, (v,), vjp)
+
+
+# ---------------------------------------------------------------------------
+# Fused transformer sublayers (the rules are in the module docstring)
+#
+# Each runs its composite's numpy calls on the same values, one tile of
+# rows at a time. The forward GEMMs (x @ W) run per tile: OpenBLAS gives
+# every row the same bits at any row count for the widths the tests
+# cover (multiples of 8). The vjp's input-gradient GEMMs (og @ W^T) run
+# full-batch on the composite's own operand layouts, because OpenBLAS
+# computes og @ W^T for a small row count with another kernel, whose
+# last bits differ. A gradient that fans out is summed in the tape's
+# order.
+
+_TILE_ELEMENTS = 1 << 16
+
+
+def _tile_rows(width: int) -> int:
+    """Samples per tile when one sample's widest intermediate holds
+    ``width`` elements: 81 (attention) and 51 (FFN) samples at the
+    default configuration with 10 tokens."""
+    return max(1, _TILE_ELEMENTS // width)
+
+
+def _tiles(n: int, rows: int):
+    for lo in range(0, n, rows):
+        yield lo, min(n, lo + rows)
+
+
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """[n, t, h*d_k] -> [h, n, t, d_k] as a view, the layout of ``split_heads``."""
+    n, t, width = a.shape
+    return np.moveaxis(a.reshape(n, t, n_heads, width // n_heads), -2, 0)
+
+
+def _sublayer_input(op, x, ln_g, ln_b, eps, rate, rng):
+    """Check what both sublayers take; return x as [n, t, d]."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"{op} needs x[..., t, d], got shape {x.shape}")
+    d = x.data.shape[-1]
+    if ln_g.data.shape != (d,) or ln_b.data.shape != (d,):
+        raise ShapeError(
+            f"{op} layer-norm gain/bias must have shape ({d},), got {ln_g.shape} and {ln_b.shape}"
+        )
+    if eps <= 0:
+        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    if rate > 0.0 and rng is None:
+        raise ConfigError("training-mode dropout requires an explicit rng")
+    return x.data.reshape((-1,) + x.data.shape[-2:])
+
+
+def _ln_rows(x, gain, bias, eps, xhat, inv, out):
+    """``layer_norm``'s forward on a tile, written into ``xhat``, ``inv`` and ``out``."""
+    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
+    var = (xhat ** 2).mean(axis=-1, keepdims=True)
+    np.divide(1.0, np.sqrt(var + eps), out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
+
+
+def _residual_out(o, keep, scale, x, out):
+    """out = x + dropout(o): ``o`` is scaled in place, ``keep`` is None
+    without dropout."""
+    if keep is not None:
+        o *= keep
+        o *= scale
+    np.add(x, o, out=out)
+
+
+def _dropped_grad(og2, keep, scale):
+    """The gradient of dropout's input: ``og2`` itself without dropout."""
+    if keep is None:
+        return og2
+    g = og2 * keep.reshape(og2.shape)
+    g *= scale
+    return g
+
+
+def _ln_residual_vjp(og, g_ln, gain, xhat, inv, rows, shape):
+    """Gradients of x + f(layer_norm(x)) given ``og`` for the sum and
+    ``g_ln`` for the norm's output: (x, gain, bias)."""
+    gx = np.empty_like(og)
+    for lo, hi in _tiles(og.shape[0], rows):
+        dxhat = g_ln[lo:hi] * gain
+        dx = inv[lo:hi] * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat[lo:hi] * (dxhat * xhat[lo:hi]).mean(axis=-1, keepdims=True)
+        )
+        np.add(og[lo:hi], dx, out=gx[lo:hi])
+    lead = tuple(range(len(shape) - 1))
+    return (
+        gx.reshape(shape),
+        (g_ln * xhat).reshape(shape).sum(axis=lead),
+        g_ln.reshape(shape).sum(axis=lead),
+    )
+
+
+def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rate=0.0, rng=None):
+    """x + dropout(MHSA(layer_norm(x))) as one op, for x[..., t, d].
+
+    The composite it replaces: ``layer_norm``; ``matmul`` by w_q, w_k and
+    w_v, each ``split_heads``; Q K^T scaled by 1/sqrt(d_k);
+    ``softmax_rows``; ``dropout``; P V; ``merge_heads``; ``matmul`` by
+    w_o; ``dropout``; ``add``. With ``rate`` > 0 the probabilities' mask
+    and then the output's mask are drawn full-batch from ``rng``, as the
+    composite draws them; ``rate`` 0 is eval mode.
+    """
+    xs = _sublayer_input("attention_sublayer", x, ln_g, ln_b, eps, rate, rng)
+    n, t, d = xs.shape
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"attention_sublayer cannot cut width {d} into {n_heads} heads")
+    for w in (w_q, w_k, w_v, w_o):
+        if w.data.shape != (d, d):
+            raise ShapeError(f"attention_sublayer needs ({d}, {d}) projections, got {w.shape}")
+    h, scale, keep_p, keep_o = n_heads, 1.0 / (1.0 - rate), None, None
+    if rate > 0.0:
+        keep_p = rng.random((h, n, t, t)) >= rate
+        keep_o = rng.random((n, t, d)) >= rate
+    score_scale = 1.0 / math.sqrt(d // h)
+    rows = _tile_rows(t * max(d, h * t))
+    # under a tape the intermediates the vjp reads are kept full-batch;
+    # otherwise one tile's buffers serve every tile in turn
+    saving = active_tape() is not None
+    m = n if saving else min(n, rows)
+    xhat, hn, q, k, v, ctx = (np.empty((m, t, d)) for _ in range(6))
+    inv, s = np.empty((m, t, 1)), np.empty((h, m, t, t))
+    out = np.empty((n, t, d))
+    for lo, hi in _tiles(n, rows):
+        r = slice(lo, hi) if saving else slice(0, hi - lo)
+        _ln_rows(xs[lo:hi], ln_g.data, ln_b.data, eps, xhat[r], inv[r], hn[r])
+        for dst, w in ((q, w_q), (k, w_k), (v, w_v)):
+            np.matmul(hn[r].reshape(-1, d), w.data, out=dst[r].reshape(-1, d))
+        sc = s[:, r]
+        np.matmul(_heads(q[r], h), np.swapaxes(_heads(k[r], h), -1, -2), out=sc)
+        sc *= score_scale
+        sc -= sc.max(axis=-1, keepdims=True)
+        np.exp(sc, out=sc)
+        sc /= sc.sum(axis=-1, keepdims=True)
+        p = sc if keep_p is None else sc * keep_p[:, lo:hi] * scale
+        np.matmul(p, _heads(v[r], h), out=_heads(ctx[r], h))
+        o = (ctx[r].reshape(-1, d) @ w_o.data).reshape(hi - lo, t, d)
+        _residual_out(o, None if keep_o is None else keep_o[lo:hi], scale, xs[lo:hi], out[lo:hi])
+
+    def vjp(og):
+        g_o = _dropped_grad(og.reshape(-1, d), keep_o, scale)
+        g_ctx = (g_o @ w_o.data.T).reshape(n, t, d)
+        g_q, g_v, g_kt = np.empty((n, t, d)), np.empty((n, t, d)), np.empty((h, n, d // h, t))
+        for lo, hi in _tiles(n, rows):
+            sc, gc = s[:, lo:hi], _heads(g_ctx[lo:hi], h)
+            p = sc if keep_p is None else sc * keep_p[:, lo:hi] * scale
+            np.matmul(np.swapaxes(p, -1, -2), gc, out=_heads(g_v[lo:hi], h))
+            g_p = gc @ np.swapaxes(_heads(v[lo:hi], h), -1, -2)
+            if keep_p is not None:
+                g_p *= keep_p[:, lo:hi]
+                g_p *= scale
+            g_sc = sc * (g_p - (g_p * sc).sum(axis=-1, keepdims=True))
+            g_sc *= score_scale
+            np.matmul(g_sc, _heads(k[lo:hi], h), out=_heads(g_q[lo:hi], h))
+            np.matmul(np.swapaxes(_heads(q[lo:hi], h), -1, -2), g_sc, out=g_kt[:, lo:hi])
+        # the composite's layout of K's gradient (a strided view for n = 1)
+        g_k = np.moveaxis(np.swapaxes(g_kt, -1, -2), 0, -2).reshape(-1, d)
+        g_q, g_v = g_q.reshape(-1, d), g_v.reshape(-1, d)
+        # the tape's fan-out order into the layer-norm output: (v + k) + q
+        g_hn = ((g_v @ w_v.data.T + g_k @ w_k.data.T) + g_q @ w_q.data.T).reshape(n, t, d)
+        h2 = hn.reshape(-1, d)
+        g_x = _ln_residual_vjp(og.reshape(n, t, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
+        return g_x + (
+            h2.T @ g_q,
+            h2.T @ g_k,
+            h2.T @ g_v,
+            ctx.reshape(-1, d).T @ g_o,
+        )
+
+    inputs = (x, ln_g, ln_b, w_q, w_k, w_v, w_o)
+    return _emit("attention_sublayer", out.reshape(x.shape), inputs, vjp)
+
+
+def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None):
+    """x + dropout(GELU(layer_norm(x) W1 + b1) W2 + b2) as one op, for x[..., t, d].
+
+    The composite it replaces: ``layer_norm``; ``matmul`` and
+    ``add_bias`` by w1, b1; ``gelu``; ``matmul`` and ``add_bias`` by w2,
+    b2; ``dropout``; ``add``. With ``rate`` > 0 the output's mask is
+    drawn full-batch from ``rng``; ``rate`` 0 is eval mode.
+    """
+    xs = _sublayer_input("ffn_sublayer", x, ln_g, ln_b, eps, rate, rng)
+    n, t, d = xs.shape
+    f = w1.data.shape[-1]
+    if (w1.data.shape, b1.data.shape, w2.data.shape, b2.data.shape) != ((d, f), (f,), (f, d), (d,)):
+        raise ShapeError(
+            f"ffn_sublayer needs w1[{d}, f], b1[f], w2[f, {d}], b2[{d}]; "
+            f"got {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}"
+        )
+    scale, keep_o = 1.0 / (1.0 - rate), None
+    if rate > 0.0:
+        keep_o = rng.random((n, t, d)) >= rate
+    rows = _tile_rows(t * max(d, f))
+    saving = active_tape() is not None
+    m = n if saving else min(n, rows)
+    xhat, hn, inv = np.empty((m, t, d)), np.empty((m, t, d)), np.empty((m, t, 1))
+    pre, cdf, act = (np.empty((m, t, f)) for _ in range(3))
+    out = np.empty((n, t, d))
+    for lo, hi in _tiles(n, rows):
+        r = slice(lo, hi) if saving else slice(0, hi - lo)
+        _ln_rows(xs[lo:hi], ln_g.data, ln_b.data, eps, xhat[r], inv[r], hn[r])
+        u, c = pre[r], cdf[r]
+        np.matmul(hn[r].reshape(-1, d), w1.data, out=u.reshape(-1, f))
+        u += b1.data
+        np.multiply(u, _INV_SQRT2, out=c)
+        erf(c, out=c)
+        c += 1.0
+        c *= 0.5
+        np.multiply(u, c, out=act[r])
+        o = (act[r].reshape(-1, f) @ w2.data).reshape(hi - lo, t, d)
+        o += b2.data
+        _residual_out(o, None if keep_o is None else keep_o[lo:hi], scale, xs[lo:hi], out[lo:hi])
+
+    def vjp(og):
+        g_o = _dropped_grad(og.reshape(-1, d), keep_o, scale)
+        g_act = (g_o @ w2.data.T).reshape(n, t, f)
+        g_u = np.empty((n, t, f))
+        for lo, hi in _tiles(n, rows):
+            u = pre[lo:hi]
+            pdf = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+            np.multiply(g_act[lo:hi], cdf[lo:hi] + u * pdf, out=g_u[lo:hi])
+        g_u = g_u.reshape(-1, f)
+        g_hn = (g_u @ w1.data.T).reshape(n, t, d)
+        lead = tuple(range(x.data.ndim - 1))
+        g_x = _ln_residual_vjp(og.reshape(n, t, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
+        return g_x + (
+            hn.reshape(-1, d).T @ g_u,
+            g_u.reshape(x.shape[:-1] + (f,)).sum(axis=lead),
+            act.reshape(-1, f).T @ g_o,
+            g_o.reshape(x.shape).sum(axis=lead),
+        )
+
+    return _emit("ffn_sublayer", out.reshape(x.shape), (x, ln_g, ln_b, w1, b1, w2, b2), vjp)
 
 
 # ---------------------------------------------------------------------------

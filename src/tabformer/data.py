@@ -461,11 +461,13 @@ class GeneratorSpec:
 
 
 def load_generator_spec(path) -> GeneratorSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except FileNotFoundError:
+        raise ConfigError(f"spec file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return GeneratorSpec.from_dict(doc)
 
 

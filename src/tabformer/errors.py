@@ -3,13 +3,16 @@ and type check behind every config, generator spec and checkpoint schema.
 
 One rule for all of them: an unknown key, a missing required field or a
 wrongly typed value is a ConfigError. Integers are valid floats (JSON
-writes 1.0 as 1); strings are never cast to numbers or booleans.
+writes 1.0 as 1); strings are never cast to numbers or booleans. A float
+must be finite: Python's ``json`` reads ``NaN`` and ``Infinity``, and no
+field means anything by them.
 
 The CLI maps these onto exit codes, so everything user-facing should
 raise one of them rather than a bare ValueError.
 """
 
 import dataclasses
+import math
 import numbers
 import typing
 
@@ -68,7 +71,7 @@ def _read(value, hint):
 def check_field_types(obj) -> None:
     """Raise ConfigError if an annotated attribute of ``obj`` (a
     dataclass field, say) does not hold its annotated type. ``bool`` is
-    neither an int nor a float."""
+    neither an int nor a float, and a float must be finite."""
     for name, hint in typing.get_type_hints(type(obj)).items():
         value = getattr(obj, name)
         if not _fits(value, hint):
@@ -78,7 +81,8 @@ def check_field_types(obj) -> None:
 
 def _fits(value, hint) -> bool:
     if hint is float:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        return real and math.isfinite(value)
     if hint is int:
         return isinstance(value, numbers.Integral) and not isinstance(value, bool)
     args = typing.get_args(hint)

@@ -94,21 +94,15 @@ def pr_curve(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_labels = labels[order]
-    points = [(0.0, 1.0)]
-    tp = 0
-    fp = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:  # tie group
-            j += 1
-        group = sorted_labels[i:j]
-        tp += int((group == 1).sum())
-        fp += int((group == 0).sum())
-        points.append((tp / n_pos, tp / (tp + fp)))
-        i = j
-    return np.array(points, dtype=np.float64)
+    # the last index of each tie group, where the cumulative counts are read
+    ends = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), scores.size - 1)
+    tp = np.cumsum(sorted_labels == 1)[ends]
+    fp = np.cumsum(sorted_labels == 0)[ends]
+    points = np.empty((ends.size + 1, 2), dtype=np.float64)
+    points[0] = (0.0, 1.0)
+    points[1:, 0] = tp / n_pos
+    points[1:, 1] = tp / (tp + fp)
+    return points
 
 
 def auprc(points: np.ndarray) -> float:

@@ -17,8 +17,10 @@ the forward pass is equivariant under feature permutation.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -182,6 +184,12 @@ class TransformerBlock:
     Dropout (train mode only) hits each sublayer output before the
     residual addition and the attention probabilities themselves.
 
+    ``forward`` runs each sublayer as one fused op,
+    ``autodiff.attention_sublayer`` and ``autodiff.ffn_sublayer``: two
+    tape nodes per block, computed in cache-sized tiles of rows.
+    ``multi_head`` is the same attention written with primitive ops: the
+    oracle whose output the fused op must match bit for bit.
+
     Attention runs all heads as one batch. q, k and v come from the
     three d x d projections and are split into heads with the head axis
     FIRST: [..., t, h*d_k] -> [h, ..., t, d_k], head j owning columns
@@ -232,20 +240,17 @@ class TransformerBlock:
             probs = ad.dropout(probs, cfg.dropout, rng, training=True)
         return ad.matmul(ad.merge_heads(ad.matmul(probs, heads(self.w_v))), self.w_o)
 
-    def _ffn(self, x: Tensor) -> Tensor:
-        h = ad.gelu(ad.add_bias(ad.matmul(x, self.ffn_w1), self.ffn_b1))
-        return ad.add_bias(ad.matmul(h, self.ffn_w2), self.ffn_b2)
-
     def forward(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
-        eps = self.config.layer_norm_eps
-        attn = self.multi_head(ad.layer_norm(x, self.ln1_g, self.ln1_b, eps), training, rng)
-        if training and self.config.dropout > 0.0:
-            attn = ad.dropout(attn, self.config.dropout, rng, training=True)
-        x = ad.add(x, attn)
-        ffn = self._ffn(ad.layer_norm(x, self.ln2_g, self.ln2_b, eps))
-        if training and self.config.dropout > 0.0:
-            ffn = ad.dropout(ffn, self.config.dropout, rng, training=True)
-        return ad.add(x, ffn)
+        cfg = self.config
+        eps, rate = cfg.layer_norm_eps, cfg.dropout if training else 0.0
+        x = ad.attention_sublayer(
+            x, self.ln1_g, self.ln1_b, self.w_q, self.w_k, self.w_v, self.w_o,
+            cfg.n_heads, eps, rate, rng,
+        )
+        return ad.ffn_sublayer(
+            x, self.ln2_g, self.ln2_b, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2,
+            eps, rate, rng,
+        )
 
 
 class ScoringModel:
@@ -418,6 +423,9 @@ _MANIFEST_KEYS = ("kind", "config", "schema", "schema_fingerprint", "seed")
 
 
 def save_checkpoint(model, prefix) -> None:
+    """Write ``<prefix>.json`` and ``<prefix>.bin``, each in full to a
+    temp file beside it before both are renamed over their targets, so
+    a failed write leaves the old pair (or none), never a partial file."""
     prefix = str(prefix)
     manifest = {
         "kind": model.kind,
@@ -426,12 +434,25 @@ def save_checkpoint(model, prefix) -> None:
         "schema_fingerprint": model.schema.fingerprint(),
         "seed": model.seed,
     }
-    with open(prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     flat = np.concatenate([p.data.ravel() for p in model.parameters()])
-    with open(prefix + ".bin", "wb") as fh:
-        fh.write(flat.astype("<f8").tobytes())
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    files = {
+        prefix + ".json": text.encode("utf-8"),
+        prefix + ".bin": flat.astype("<f8").tobytes(),
+    }
+    temps = []
+    try:
+        for path, data in files.items():
+            temps.append(f"{path}.{os.getpid()}.tmp")
+            with open(temps[-1], "wb") as fh:
+                fh.write(data)
+        for path, tmp in zip(files, temps):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
 
 
 def load_checkpoint(prefix):

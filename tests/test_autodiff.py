@@ -433,6 +433,18 @@ def _op_cases():
         ),
         "embedding_rows": (lambda table: ad.embedding_rows(table, [2, 0, 2]), [t(3, 4)]),
         "repeat_token": (lambda v: ad.repeat_token(v, 3), [t(4)]),
+        "attention_sublayer": (
+            lambda x, g, b, wq, wk, wv, wo: ad.attention_sublayer(
+                x, g, b, wq, wk, wv, wo, 2, rate=0.5, rng=np.random.default_rng(0)
+            ),
+            [t(2, 3, 4), t(4), t(4), t(4, 4), t(4, 4), t(4, 4), t(4, 4)],
+        ),
+        "ffn_sublayer": (
+            lambda x, g, b, w1, b1, w2, b2: ad.ffn_sublayer(
+                x, g, b, w1, b1, w2, b2, rate=0.5, rng=np.random.default_rng(0)
+            ),
+            [t(2, 3, 4), t(4), t(4), t(4, 5), t(5), t(5, 4), t(4)],
+        ),
         "balanced_bce": (
             lambda p: balanced_bce(p, np.array([1.0, 0.0, 1.0]), (0.75, 1.5)),
             [t(3)],

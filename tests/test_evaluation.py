@@ -110,6 +110,24 @@ def brute_force_pr(scores, labels):
     return np.array(points)
 
 
+def tie_group_loop_pr(scores, labels):
+    # pr_curve as a loop over tie groups: counts accumulated group by group
+    n_pos = int((labels == 1).sum())
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores, sorted_labels = scores[order], labels[order]
+    points = [(0.0, 1.0)]
+    tp = fp = i = 0
+    while i < scores.size:
+        j = i
+        while j < scores.size and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        tp += int((sorted_labels[i:j] == 1).sum())
+        fp += int((sorted_labels[i:j] == 0).sum())
+        points.append((tp / n_pos, tp / (tp + fp)))
+        i = j
+    return np.array(points, dtype=np.float64)
+
+
 class TestPrCurve:
     def test_hand_case(self):
         scores = np.array([0.9, 0.8, 0.7, 0.6])
@@ -145,6 +163,18 @@ class TestPrCurve:
             if labels.sum() == 0:
                 labels[0] = 1
             assert np.array_equal(pr_curve(scores, labels), brute_force_pr(scores, labels))
+
+    def test_bitwise_equal_to_the_tie_group_loop(self):
+        rng = np.random.default_rng(11)
+        for case in range(200):
+            n = int(rng.integers(1, 300))
+            # even cases on a coarse grid (many ties), odd ones continuous
+            scores = rng.integers(0, 6, size=n) / 6.0 if case % 2 == 0 else rng.normal(size=n)
+            labels = rng.integers(0, 2, size=n)
+            labels[0] = 1
+            if case % 3 == 0:
+                labels = labels.astype(float)
+            assert np.array_equal(pr_curve(scores, labels), tie_group_loop_pr(scores, labels))
 
     def test_recall_nondecreasing(self):
         rng = np.random.default_rng(2)

@@ -351,3 +351,39 @@ def test_fuzzed_spec_exits_cleanly(doc):
         rc, err = synth(tmp, doc)
     assert rc in (0, 2, 3, 4), err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# non-finite floats and a missing spec file
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_floats_are_rejected(value):
+    with pytest.raises(ConfigError, match="lr"):
+        TrainConfig.from_dict({"lr": value})
+    with pytest.raises(ConfigError, match="betas"):
+        TrainConfig.from_dict({"betas": [0.9, value]})
+
+
+def test_nan_learning_rate_exits_2(data_path, tmp_path):
+    # json.dumps writes the float as the bare token NaN, which json reads back
+    rc, err = train(data_path, tmp_path, {"model": "transformer", "train_config": {"lr": float("nan")}})
+    assert rc == 2
+    assert "TrainConfig.lr" in err
+    assert "Traceback" not in err
+
+
+def test_infinite_spec_bias_exits_2(tmp_path):
+    rc, err = synth(tmp_path, {**SPEC, "bias": float("inf")})
+    assert rc == 2
+    assert "GeneratorSpec.bias" in err
+    assert "Traceback" not in err
+
+
+def test_missing_spec_file_exits_2(tmp_path):
+    rc, err = run([
+        "synth", "--spec", str(tmp_path / "nothere.json"), "--out", str(tmp_path / "t.csv"), "--n", "12",
+    ])
+    assert rc == 2
+    assert "spec file not found" in err
+    assert "Traceback" not in err
