@@ -42,12 +42,31 @@ and a fused op must equal its composite of primitives bit for bit in
 the forward pass, draw its dropout masks by the same ``rng.random``
 calls in the same order, and match the composite's gradients (the
 tests allow 1e-12).
+
+Threads. Importing this module sets every OpenBLAS loaded in the
+process (numpy's, and scipy's if separate) to one thread, and the
+fused ops spread their work over the CPUs in the process's affinity
+mask: the calling thread plus a pool of helper threads, created on
+first use and dropped in a forked child. Helpers claim tiles of a
+row-local loop one at a time, and run the vjp's full-batch
+weight-gradient GEMMs and bias sums while the calling thread runs the
+input-gradient chain. Dropout masks are drawn on the calling thread,
+and helpers call only private numpy helpers, never a public op, so the
+tape sees nothing of them. Every tile and every GEMM runs the same
+single-threaded kernel on the same operands whatever the worker count,
+so results are bitwise equal for any number of CPUs and any
+``OPENBLAS_NUM_THREADS``. When the thread-control symbol of a loaded
+OpenBLAS cannot be found, everything runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -614,6 +633,101 @@ def repeat_token(v: Tensor, count: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# Threads (the rule is in the module docstring)
+
+
+def _pin_blas() -> bool:
+    """Set every OpenBLAS loaded in this process to one thread. False
+    when none is found or one lacks the thread-control symbol."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return False
+    pinned = 0
+    for lib in libs:
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                pinned += 1
+                break
+    return bool(libs) and pinned == len(libs)
+
+
+_WORKERS = len(os.sched_getaffinity(0)) if _pin_blas() else 1
+_POOL: Optional[ThreadPoolExecutor] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="tabformer")
+        return _POOL
+
+
+def _drop_pool():
+    """A forked child has none of its parent's pool threads: start afresh."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # there is no fork on Windows
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _submit(fn):
+    # a helper sees the caller's context, numpy's error state included
+    return _pool().submit(contextvars.copy_context().run, fn)
+
+
+def _spawn(fn: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
+    """Start ``fn()`` on the pool; the returned callable gives its
+    result, running ``fn`` itself if no helper has started it yet."""
+    if _WORKERS < 2:
+        value = fn()
+        return lambda: value
+    future = _submit(fn)
+    return lambda: fn() if future.cancel() else future.result()
+
+
+def _each_tile(n: int, rows: int, body, workspace=None):
+    """Call ``body(lo, hi, ws)`` for every tile of ``n`` samples. The
+    calling thread and the pool's helpers claim tiles in turn; ``ws`` is
+    ``workspace()``, made once per thread on its first tile, or None."""
+    tiles, lock = _tiles(n, rows), threading.Lock()
+
+    def drain():
+        ws = None
+        while True:
+            with lock:
+                tile = next(tiles, None)
+            if tile is None:
+                return
+            if ws is None and workspace is not None:
+                ws = workspace()
+            body(*tile, ws)
+
+    helpers = [_submit(drain) for _ in range(min(_WORKERS - 1, (n - 1) // rows))]
+    try:
+        drain()
+    finally:
+        # every tile is claimed once the caller's share returns: a helper
+        # that has not started has nothing left to do
+        for helper in helpers:
+            helper.cancel()
+        wait(helpers)
+    for helper in helpers:
+        if not helper.cancelled():
+            helper.result()
+
+
+# ---------------------------------------------------------------------------
 # Fused transformer sublayers (the rules are in the module docstring)
 #
 # Each runs its composite's numpy calls on the same values, one tile of
@@ -695,8 +809,12 @@ def _dropped_grad(og2, keep, scale):
 def _ln_residual_vjp(og, g_ln, gain, xhat, inv, rows, shape):
     """Gradients of x + f(layer_norm(x)) given ``og`` for the sum and
     ``g_ln`` for the norm's output: (x, gain, bias)."""
+    lead = tuple(range(len(shape) - 1))
+    g_gain = _spawn(lambda: (g_ln * xhat).reshape(shape).sum(axis=lead))
+    g_bias = _spawn(lambda: g_ln.reshape(shape).sum(axis=lead))
     gx = np.empty_like(og)
-    for lo, hi in _tiles(og.shape[0], rows):
+
+    def tile(lo, hi, _):
         dxhat = g_ln[lo:hi] * gain
         dx = inv[lo:hi] * (
             dxhat
@@ -704,12 +822,19 @@ def _ln_residual_vjp(og, g_ln, gain, xhat, inv, rows, shape):
             - xhat[lo:hi] * (dxhat * xhat[lo:hi]).mean(axis=-1, keepdims=True)
         )
         np.add(og[lo:hi], dx, out=gx[lo:hi])
-    lead = tuple(range(len(shape) - 1))
-    return (
-        gx.reshape(shape),
-        (g_ln * xhat).reshape(shape).sum(axis=lead),
-        g_ln.reshape(shape).sum(axis=lead),
-    )
+
+    _each_tile(og.shape[0], rows, tile)
+    return gx.reshape(shape), g_gain(), g_bias()
+
+
+def _workspace(saving: bool, n: int, rows: int, make):
+    """(buffers the vjp reads, per-thread tile buffers). Under a tape the
+    intermediates the vjp reads are kept full-batch and shared by every
+    thread; otherwise each thread writes one tile's buffers in turn."""
+    if saving:
+        saved = make(n)
+        return saved, lambda: saved
+    return None, lambda: make(min(n, rows))
 
 
 def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rate=0.0, rng=None):
@@ -735,14 +860,16 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
         keep_o = rng.random((n, t, d)) >= rate
     score_scale = 1.0 / math.sqrt(d // h)
     rows = _tile_rows(t * max(d, h * t))
-    # under a tape the intermediates the vjp reads are kept full-batch;
-    # otherwise one tile's buffers serve every tile in turn
     saving = active_tape() is not None
-    m = n if saving else min(n, rows)
-    xhat, hn, q, k, v, ctx = (np.empty((m, t, d)) for _ in range(6))
-    inv, s = np.empty((m, t, 1)), np.empty((h, m, t, t))
+
+    def make(m):  # xhat, hn, q, k, v, ctx, inv, scores
+        return [np.empty((m, t, d)) for _ in range(6)] + [np.empty((m, t, 1)), np.empty((h, m, t, t))]
+
+    saved, workspace = _workspace(saving, n, rows, make)
     out = np.empty((n, t, d))
-    for lo, hi in _tiles(n, rows):
+
+    def tile(lo, hi, ws):
+        xhat, hn, q, k, v, ctx, inv, s = ws
         r = slice(lo, hi) if saving else slice(0, hi - lo)
         _ln_rows(xs[lo:hi], ln_g.data, ln_b.data, eps, xhat[r], inv[r], hn[r])
         for dst, w in ((q, w_q), (k, w_k), (v, w_v)):
@@ -758,11 +885,16 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
         o = (ctx[r].reshape(-1, d) @ w_o.data).reshape(hi - lo, t, d)
         _residual_out(o, None if keep_o is None else keep_o[lo:hi], scale, xs[lo:hi], out[lo:hi])
 
+    _each_tile(n, rows, tile, workspace)
+
     def vjp(og):
+        xhat, hn, q, k, v, ctx, inv, s = saved
         g_o = _dropped_grad(og.reshape(-1, d), keep_o, scale)
+        g_w_o = _spawn(lambda: ctx.reshape(-1, d).T @ g_o)
         g_ctx = (g_o @ w_o.data.T).reshape(n, t, d)
         g_q, g_v, g_kt = np.empty((n, t, d)), np.empty((n, t, d)), np.empty((h, n, d // h, t))
-        for lo, hi in _tiles(n, rows):
+
+        def tile(lo, hi, _):
             sc, gc = s[:, lo:hi], _heads(g_ctx[lo:hi], h)
             p = sc if keep_p is None else sc * keep_p[:, lo:hi] * scale
             np.matmul(np.swapaxes(p, -1, -2), gc, out=_heads(g_v[lo:hi], h))
@@ -774,19 +906,17 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
             g_sc *= score_scale
             np.matmul(g_sc, _heads(k[lo:hi], h), out=_heads(g_q[lo:hi], h))
             np.matmul(np.swapaxes(_heads(q[lo:hi], h), -1, -2), g_sc, out=g_kt[:, lo:hi])
+
+        _each_tile(n, rows, tile)
         # the composite's layout of K's gradient (a strided view for n = 1)
         g_k = np.moveaxis(np.swapaxes(g_kt, -1, -2), 0, -2).reshape(-1, d)
         g_q, g_v = g_q.reshape(-1, d), g_v.reshape(-1, d)
+        h2 = hn.reshape(-1, d)
+        g_w = [_spawn(lambda g=g: h2.T @ g) for g in (g_q, g_k, g_v)]
         # the tape's fan-out order into the layer-norm output: (v + k) + q
         g_hn = ((g_v @ w_v.data.T + g_k @ w_k.data.T) + g_q @ w_q.data.T).reshape(n, t, d)
-        h2 = hn.reshape(-1, d)
         g_x = _ln_residual_vjp(og.reshape(n, t, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
-        return g_x + (
-            h2.T @ g_q,
-            h2.T @ g_k,
-            h2.T @ g_v,
-            ctx.reshape(-1, d).T @ g_o,
-        )
+        return g_x + tuple(g() for g in g_w) + (g_w_o(),)
 
     inputs = (x, ln_g, ln_b, w_q, w_k, w_v, w_o)
     return _emit("attention_sublayer", out.reshape(x.shape), inputs, vjp)
@@ -813,11 +943,17 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None):
         keep_o = rng.random((n, t, d)) >= rate
     rows = _tile_rows(t * max(d, f))
     saving = active_tape() is not None
-    m = n if saving else min(n, rows)
-    xhat, hn, inv = np.empty((m, t, d)), np.empty((m, t, d)), np.empty((m, t, 1))
-    pre, cdf, act = (np.empty((m, t, f)) for _ in range(3))
+
+    def make(m):  # xhat, hn, inv, pre-activation, Phi(pre), activation
+        return [np.empty((m, t, d)), np.empty((m, t, d)), np.empty((m, t, 1))] + [
+            np.empty((m, t, f)) for _ in range(3)
+        ]
+
+    saved, workspace = _workspace(saving, n, rows, make)
     out = np.empty((n, t, d))
-    for lo, hi in _tiles(n, rows):
+
+    def tile(lo, hi, ws):
+        xhat, hn, inv, pre, cdf, act = ws
         r = slice(lo, hi) if saving else slice(0, hi - lo)
         _ln_rows(xs[lo:hi], ln_g.data, ln_b.data, eps, xhat[r], inv[r], hn[r])
         u, c = pre[r], cdf[r]
@@ -832,24 +968,29 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None):
         o += b2.data
         _residual_out(o, None if keep_o is None else keep_o[lo:hi], scale, xs[lo:hi], out[lo:hi])
 
+    _each_tile(n, rows, tile, workspace)
+
     def vjp(og):
+        xhat, hn, inv, pre, cdf, act = saved
+        lead = tuple(range(x.data.ndim - 1))
         g_o = _dropped_grad(og.reshape(-1, d), keep_o, scale)
+        g_w2 = _spawn(lambda: act.reshape(-1, f).T @ g_o)
+        g_b2 = _spawn(lambda: g_o.reshape(x.shape).sum(axis=lead))
         g_act = (g_o @ w2.data.T).reshape(n, t, f)
         g_u = np.empty((n, t, f))
-        for lo, hi in _tiles(n, rows):
+
+        def tile(lo, hi, _):
             u = pre[lo:hi]
             pdf = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
             np.multiply(g_act[lo:hi], cdf[lo:hi] + u * pdf, out=g_u[lo:hi])
+
+        _each_tile(n, rows, tile)
         g_u = g_u.reshape(-1, f)
+        g_w1 = _spawn(lambda: hn.reshape(-1, d).T @ g_u)
+        g_b1 = _spawn(lambda: g_u.reshape(x.shape[:-1] + (f,)).sum(axis=lead))
         g_hn = (g_u @ w1.data.T).reshape(n, t, d)
-        lead = tuple(range(x.data.ndim - 1))
         g_x = _ln_residual_vjp(og.reshape(n, t, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
-        return g_x + (
-            hn.reshape(-1, d).T @ g_u,
-            g_u.reshape(x.shape[:-1] + (f,)).sum(axis=lead),
-            act.reshape(-1, f).T @ g_o,
-            g_o.reshape(x.shape).sum(axis=lead),
-        )
+        return g_x + (g_w1(), g_b1(), g_w2(), g_b2())
 
     return _emit("ffn_sublayer", out.reshape(x.shape), (x, ln_g, ln_b, w1, b1, w2, b2), vjp)
 

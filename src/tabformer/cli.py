@@ -99,6 +99,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown model kind {cfg.model!r}")
     if cfg.k_folds < 2:
         raise ConfigError(f"k_folds must be at least 2, got {cfg.k_folds}")
+    if not 0.0 < cfg.threshold < 1.0:  # NaN fails this too
+        raise ConfigError(f"threshold must lie in (0, 1), got {cfg.threshold}")
+    if cfg.top_n is not None and cfg.top_n < 1:
+        raise ConfigError(f"top_n must be at least 1, got {cfg.top_n}")
     return cfg
 
 

@@ -211,8 +211,6 @@ def run_cv(
     and applied everywhere, the model trains with streams seeded
     seed + f, and fold f is scored at ``threshold`` (strictly greater).
     """
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
     assignment = stratified_k_fold(dataset.labels, k, seed)
     folds = []
     sample_model = None

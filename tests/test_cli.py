@@ -352,6 +352,34 @@ def test_importance_missing_checkpoint_setting_exits_2(data_path, tmp_path):
     assert rc == 2
 
 
+def test_importance_top_n_below_one_exits_2(trained_dir, data_path, tmp_path, capsys):
+    for top_n in ("0", "-1"):
+        out = tmp_path / f"top{top_n}"
+        rc = main([
+            "importance", "--data", data_path, "--target", "label",
+            "--checkpoint", str(trained_dir / "model"), "--out", str(out),
+            "--top-n", top_n,
+        ])
+        assert rc == 2
+        assert "top_n must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_threshold_out_of_range_exits_2(trained_dir, data_path, tmp_path, capsys):
+    for command in ("cv", "train", "importance"):
+        for value in ("7", "1", "0", "-0.5", "nan"):
+            out = tmp_path / f"{command}{value}"
+            args = [
+                command, "--data", data_path, "--target", "label",
+                "--out", str(out), "--threshold", value,
+            ]
+            if command == "importance":
+                args += ["--checkpoint", str(trained_dir / "model")]
+            assert main(args) == 2, (command, value)
+            assert "threshold must lie in (0, 1)" in capsys.readouterr().err
+            assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 

@@ -323,12 +323,6 @@ class TestRunCv:
             assert f.train_log is not None
             assert f.train_log.n_epochs >= 1
 
-    def test_threshold_validated(self):
-        spec = separable_spec(weight=2.0)
-        ds = generate_synthetic(spec, 80)
-        with pytest.raises(ConfigError):
-            run_cv(ds, logistic_factory, quick_config(), k=4, threshold=1.5, seed=0)
-
     def test_stratification_error_propagates(self):
         spec = separable_spec(weight=2.0)
         ds = generate_synthetic(spec, 30)
