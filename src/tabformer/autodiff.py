@@ -43,6 +43,19 @@ the forward pass, draw its dropout masks by the same ``rng.random``
 calls in the same order, and match the composite's gradients (the
 tests allow 1e-12).
 
+Last-token rule. ``attention_sublayer(..., last_only=True)`` returns
+the last token's row only, [..., 1, d]: every token is normalised and
+projected to keys and values, but queries, scores, softmax, dropout,
+P V, ``w_o`` and the residual run for the last token alone, and the
+vjp sends the residual and query gradients to that row only.
+``ffn_sublayer(..., mask_tokens=t)`` then runs on that one row. Both
+still draw their dropout masks at the full t-token shape and use the
+last token's slice, so the rng is left where the full sublayers leave
+it. The oracle is the last row of the full sublayers' output: outputs
+and gradients within 1e-12, not bitwise, because numpy runs a one-row
+product as a matrix-vector product, whose last bits differ from the
+matrix-matrix product's.
+
 Threads. Importing this module sets every OpenBLAS loaded in the
 process (numpy's, and scipy's if separate) to one thread, and the
 fused ops spread their work over the CPUs in the process's affinity
@@ -808,22 +821,27 @@ def _dropped_grad(og2, keep, scale):
 
 def _ln_residual_vjp(og, g_ln, gain, xhat, inv, rows, shape):
     """Gradients of x + f(layer_norm(x)) given ``og`` for the sum and
-    ``g_ln`` for the norm's output: (x, gain, bias)."""
+    ``g_ln`` for the norm's output: (x, gain, bias). When the sum kept
+    only the last ``og.shape[1]`` token rows, the residual reaches
+    those rows alone."""
     lead = tuple(range(len(shape) - 1))
     g_gain = _spawn(lambda: (g_ln * xhat).reshape(shape).sum(axis=lead))
     g_bias = _spawn(lambda: g_ln.reshape(shape).sum(axis=lead))
-    gx = np.empty_like(og)
+    gx = np.empty_like(g_ln)
+    kept = slice(g_ln.shape[1] - og.shape[1], None)
 
     def tile(lo, hi, _):
         dxhat = g_ln[lo:hi] * gain
-        dx = inv[lo:hi] * (
+        np.multiply(
+            inv[lo:hi],
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
-            - xhat[lo:hi] * (dxhat * xhat[lo:hi]).mean(axis=-1, keepdims=True)
+            - xhat[lo:hi] * (dxhat * xhat[lo:hi]).mean(axis=-1, keepdims=True),
+            out=gx[lo:hi],
         )
-        np.add(og[lo:hi], dx, out=gx[lo:hi])
+        gx[lo:hi, kept] += og[lo:hi]
 
-    _each_tile(og.shape[0], rows, tile)
+    _each_tile(g_ln.shape[0], rows, tile)
     return gx.reshape(shape), g_gain(), g_bias()
 
 
@@ -837,7 +855,8 @@ def _workspace(saving: bool, n: int, rows: int, make):
     return None, lambda: make(min(n, rows))
 
 
-def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rate=0.0, rng=None):
+def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rate=0.0, rng=None,
+                       last_only=False):
     """x + dropout(MHSA(layer_norm(x))) as one op, for x[..., t, d].
 
     The composite it replaces: ``layer_norm``; ``matmul`` by w_q, w_k and
@@ -846,6 +865,11 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
     w_o; ``dropout``; ``add``. With ``rate`` > 0 the probabilities' mask
     and then the output's mask are drawn full-batch from ``rng``, as the
     composite draws them; ``rate`` 0 is eval mode.
+
+    With ``last_only`` only the last token queries, and the output is
+    that token's row, [..., 1, d]: the last row of the full output.
+    Every token is still normalised and projected to keys and values,
+    and both masks are still drawn at their full shapes.
     """
     xs = _sublayer_input("attention_sublayer", x, ln_g, ln_b, eps, rate, rng)
     n, t, d = xs.shape
@@ -854,26 +878,30 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
     for w in (w_q, w_k, w_v, w_o):
         if w.data.shape != (d, d):
             raise ShapeError(f"attention_sublayer needs ({d}, {d}) projections, got {w.shape}")
+    tq = 1 if last_only else t  # query rows: the last tq tokens
+    qs = slice(t - tq, t)
     h, scale, keep_p, keep_o = n_heads, 1.0 / (1.0 - rate), None, None
     if rate > 0.0:
-        keep_p = rng.random((h, n, t, t)) >= rate
-        keep_o = rng.random((n, t, d)) >= rate
+        keep_p = rng.random((h, n, t, t))[:, :, qs] >= rate
+        keep_o = rng.random((n, t, d))[:, qs] >= rate
     score_scale = 1.0 / math.sqrt(d // h)
     rows = _tile_rows(t * max(d, h * t))
     saving = active_tape() is not None
 
-    def make(m):  # xhat, hn, q, k, v, ctx, inv, scores
-        return [np.empty((m, t, d)) for _ in range(6)] + [np.empty((m, t, 1)), np.empty((h, m, t, t))]
+    def make(m):  # xhat, hn, k, v, inv; q, ctx and the scores for the query rows
+        return [np.empty((m, t, d)) for _ in range(4)] + [np.empty((m, t, 1))] + [
+            np.empty((m, tq, d)), np.empty((m, tq, d)), np.empty((h, m, tq, t))
+        ]
 
     saved, workspace = _workspace(saving, n, rows, make)
-    out = np.empty((n, t, d))
+    out = np.empty((n, tq, d))
 
     def tile(lo, hi, ws):
-        xhat, hn, q, k, v, ctx, inv, s = ws
+        xhat, hn, k, v, inv, q, ctx, s = ws
         r = slice(lo, hi) if saving else slice(0, hi - lo)
         _ln_rows(xs[lo:hi], ln_g.data, ln_b.data, eps, xhat[r], inv[r], hn[r])
-        for dst, w in ((q, w_q), (k, w_k), (v, w_v)):
-            np.matmul(hn[r].reshape(-1, d), w.data, out=dst[r].reshape(-1, d))
+        for dst, src, w in ((q, hn[r][:, qs], w_q), (k, hn[r], w_k), (v, hn[r], w_v)):
+            np.matmul(src.reshape(-1, d), w.data, out=dst[r].reshape(-1, d))
         sc = s[:, r]
         np.matmul(_heads(q[r], h), np.swapaxes(_heads(k[r], h), -1, -2), out=sc)
         sc *= score_scale
@@ -882,17 +910,17 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
         sc /= sc.sum(axis=-1, keepdims=True)
         p = sc if keep_p is None else sc * keep_p[:, lo:hi] * scale
         np.matmul(p, _heads(v[r], h), out=_heads(ctx[r], h))
-        o = (ctx[r].reshape(-1, d) @ w_o.data).reshape(hi - lo, t, d)
-        _residual_out(o, None if keep_o is None else keep_o[lo:hi], scale, xs[lo:hi], out[lo:hi])
+        o = (ctx[r].reshape(-1, d) @ w_o.data).reshape(hi - lo, tq, d)
+        _residual_out(o, None if keep_o is None else keep_o[lo:hi], scale, xs[lo:hi, qs], out[lo:hi])
 
     _each_tile(n, rows, tile, workspace)
 
     def vjp(og):
-        xhat, hn, q, k, v, ctx, inv, s = saved
+        xhat, hn, k, v, inv, q, ctx, s = saved
         g_o = _dropped_grad(og.reshape(-1, d), keep_o, scale)
         g_w_o = _spawn(lambda: ctx.reshape(-1, d).T @ g_o)
-        g_ctx = (g_o @ w_o.data.T).reshape(n, t, d)
-        g_q, g_v, g_kt = np.empty((n, t, d)), np.empty((n, t, d)), np.empty((h, n, d // h, t))
+        g_ctx = (g_o @ w_o.data.T).reshape(n, tq, d)
+        g_q, g_v, g_kt = np.empty((n, tq, d)), np.empty((n, t, d)), np.empty((h, n, d // h, t))
 
         def tile(lo, hi, _):
             sc, gc = s[:, lo:hi], _heads(g_ctx[lo:hi], h)
@@ -911,27 +939,35 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
         # the composite's layout of K's gradient (a strided view for n = 1)
         g_k = np.moveaxis(np.swapaxes(g_kt, -1, -2), 0, -2).reshape(-1, d)
         g_q, g_v = g_q.reshape(-1, d), g_v.reshape(-1, d)
-        h2 = hn.reshape(-1, d)
-        g_w = [_spawn(lambda g=g: h2.T @ g) for g in (g_q, g_k, g_v)]
+        h2, hq = hn.reshape(-1, d), hn[:, qs].reshape(-1, d)
+        g_w = [_spawn(lambda a=a, g=g: a.T @ g) for a, g in ((hq, g_q), (h2, g_k), (h2, g_v))]
         # the tape's fan-out order into the layer-norm output: (v + k) + q
-        g_hn = ((g_v @ w_v.data.T + g_k @ w_k.data.T) + g_q @ w_q.data.T).reshape(n, t, d)
-        g_x = _ln_residual_vjp(og.reshape(n, t, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
+        g_hn = (g_v @ w_v.data.T + g_k @ w_k.data.T).reshape(n, t, d)
+        g_hn[:, qs] += (g_q @ w_q.data.T).reshape(n, tq, d)
+        g_x = _ln_residual_vjp(og.reshape(n, tq, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
         return g_x + tuple(g() for g in g_w) + (g_w_o(),)
 
     inputs = (x, ln_g, ln_b, w_q, w_k, w_v, w_o)
-    return _emit("attention_sublayer", out.reshape(x.shape), inputs, vjp)
+    return _emit("attention_sublayer", out.reshape(x.shape[:-2] + (tq, d)), inputs, vjp)
 
 
-def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None):
+def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, mask_tokens=None):
     """x + dropout(GELU(layer_norm(x) W1 + b1) W2 + b2) as one op, for x[..., t, d].
 
     The composite it replaces: ``layer_norm``; ``matmul`` and
     ``add_bias`` by w1, b1; ``gelu``; ``matmul`` and ``add_bias`` by w2,
     b2; ``dropout``; ``add``. With ``rate`` > 0 the output's mask is
     drawn full-batch from ``rng``; ``rate`` 0 is eval mode.
+
+    ``mask_tokens``, when x holds only the last t of that many tokens
+    (the output of a ``last_only`` attention sublayer), is the token
+    count the mask is drawn for; x uses its last t rows.
     """
     xs = _sublayer_input("ffn_sublayer", x, ln_g, ln_b, eps, rate, rng)
     n, t, d = xs.shape
+    drawn = t if mask_tokens is None else mask_tokens
+    if drawn < t:
+        raise ShapeError(f"ffn_sublayer cannot draw a mask for {drawn} tokens over {t}")
     f = w1.data.shape[-1]
     if (w1.data.shape, b1.data.shape, w2.data.shape, b2.data.shape) != ((d, f), (f,), (f, d), (d,)):
         raise ShapeError(
@@ -940,7 +976,7 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None):
         )
     scale, keep_o = 1.0 / (1.0 - rate), None
     if rate > 0.0:
-        keep_o = rng.random((n, t, d)) >= rate
+        keep_o = rng.random((n, drawn, d))[:, drawn - t:] >= rate
     rows = _tile_rows(t * max(d, f))
     saving = active_tape() is not None
 

@@ -103,6 +103,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"threshold must lie in (0, 1), got {cfg.threshold}")
     if cfg.top_n is not None and cfg.top_n < 1:
         raise ConfigError(f"top_n must be at least 1, got {cfg.top_n}")
+    if not 0 <= cfg.fold < cfg.k_folds:
+        raise ConfigError(f"fold must lie in [0, {cfg.k_folds}), got {cfg.fold}")
     return cfg
 
 
@@ -227,8 +229,6 @@ def cmd_importance(args: argparse.Namespace) -> int:
         raise DataError(
             "dataset schema does not match the checkpoint's schema fingerprint"
         )
-    if not 0 <= cfg.fold < cfg.k_folds:
-        raise ConfigError(f"fold must lie in [0, {cfg.k_folds}), got {cfg.fold}")
     assignment = stratified_k_fold(dataset.labels, cfg.k_folds, cfg.seed)
     held_out = assignment.fold_indices(cfg.fold)
     stats = standardizer_from_schema(model.schema)

@@ -10,6 +10,8 @@ order (or in parallel) without changing results.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -45,11 +47,13 @@ class ImportanceReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self, top_n: Optional[int] = None) -> str:
+        """CSV text: a name holding a comma, a quote or a line break is quoted."""
         rows = self.features if top_n is None else self.features[:top_n]
-        lines = ["feature,mean_drop"]
-        for f in rows:
-            lines.append(f"{f.name},{f.mean_drop!r}")
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["feature", "mean_drop"])
+        writer.writerows([f.name, repr(f.mean_drop)] for f in rows)
+        return buf.getvalue()
 
 
 def _f1_at(model, X: np.ndarray, labels: np.ndarray, threshold: float) -> float:

@@ -18,6 +18,7 @@ the forward pass is equivariant under feature permutation.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -188,7 +189,11 @@ class TransformerBlock:
     ``autodiff.attention_sublayer`` and ``autodiff.ffn_sublayer``: two
     tape nodes per block, computed in cache-sized tiles of rows.
     ``multi_head`` is the same attention written with primitive ops: the
-    oracle whose output the fused op must match bit for bit.
+    oracle whose output the fused op must match bit for bit. With
+    ``last_only`` the block returns the last token's row only,
+    [..., 1, d]: every token still feeds keys and values, and the
+    dropout masks are still drawn at their full shapes (the last-token
+    rule in ``autodiff``).
 
     Attention runs all heads as one batch. q, k and v come from the
     three d x d projections and are split into heads with the head axis
@@ -240,16 +245,17 @@ class TransformerBlock:
             probs = ad.dropout(probs, cfg.dropout, rng, training=True)
         return ad.matmul(ad.merge_heads(ad.matmul(probs, heads(self.w_v))), self.w_o)
 
-    def forward(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
+    def forward(self, x: Tensor, training: bool = False, rng=None, last_only: bool = False) -> Tensor:
         cfg = self.config
         eps, rate = cfg.layer_norm_eps, cfg.dropout if training else 0.0
+        tokens = x.shape[-2]
         x = ad.attention_sublayer(
             x, self.ln1_g, self.ln1_b, self.w_q, self.w_k, self.w_v, self.w_o,
-            cfg.n_heads, eps, rate, rng,
+            cfg.n_heads, eps, rate, rng, last_only=last_only,
         )
         return ad.ffn_sublayer(
             x, self.ln2_g, self.ln2_b, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2,
-            eps, rate, rng,
+            eps, rate, rng, mask_tokens=tokens,
         )
 
 
@@ -282,7 +288,10 @@ class ScoringModel:
 
 
 class Model(ScoringModel):
-    """Full tabular transformer."""
+    """Full tabular transformer. The head reads only the classification
+    token, so the last block runs with ``last_only`` and computes that
+    token's row alone; every block still runs through
+    ``TransformerBlock.forward``."""
 
     kind = "transformer"
 
@@ -326,13 +335,14 @@ class Model(ScoringModel):
             x = self.tokenizer.forward_batch(X)
         except NumericError as exc:
             raise NumericError(f"tokenizer: {exc}") from None
+        last = len(self.blocks) - 1
         for i, blk in enumerate(self.blocks):
             try:
-                x = blk.forward(x, training, rng)
+                x = blk.forward(x, training, rng, last_only=i == last)
             except NumericError as exc:
                 raise NumericError(f"block {i}: {exc}") from None
         try:
-            cls = ad.select_row(x, self.schema.n_features)  # last token row
+            cls = ad.select_row(x, 0)  # the last block kept the classification token only
             h = ad.layer_norm(cls, self.head_ln_g, self.head_ln_b, self.config.layer_norm_eps)
             z = ad.add_bias(ad.matmul(h, self.head_w1), self.head_b1)
             if self.head_w2 is not None:
@@ -419,27 +429,29 @@ def build_model(kind: str, schema: FeatureSchema, seed: int = 0, config: Optiona
     return MODELS[kind](schema, seed, dict(config or {}))
 
 
+# required manifest keys; "bin_sha256" is optional, because manifests
+# written before it was recorded lack it
 _MANIFEST_KEYS = ("kind", "config", "schema", "schema_fingerprint", "seed")
 
 
 def save_checkpoint(model, prefix) -> None:
     """Write ``<prefix>.json`` and ``<prefix>.bin``, each in full to a
     temp file beside it before both are renamed over their targets, so
-    a failed write leaves the old pair (or none), never a partial file."""
+    a failed write leaves the old pair (or none), never a partial file.
+    The manifest records the SHA-256 of the ``.bin`` bytes."""
     prefix = str(prefix)
+    flat = np.concatenate([p.data.ravel() for p in model.parameters()])
+    raw = flat.astype("<f8").tobytes()
     manifest = {
         "kind": model.kind,
         "config": model.config_dict(),
         "schema": model.schema.to_dict(),
         "schema_fingerprint": model.schema.fingerprint(),
         "seed": model.seed,
+        "bin_sha256": hashlib.sha256(raw).hexdigest(),
     }
-    flat = np.concatenate([p.data.ravel() for p in model.parameters()])
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    files = {
-        prefix + ".json": text.encode("utf-8"),
-        prefix + ".bin": flat.astype("<f8").tobytes(),
-    }
+    files = {prefix + ".json": text.encode("utf-8"), prefix + ".bin": raw}
     temps = []
     try:
         for path, data in files.items():
@@ -456,6 +468,9 @@ def save_checkpoint(model, prefix) -> None:
 
 
 def load_checkpoint(prefix):
+    """Rebuild the model ``save_checkpoint`` wrote. A ``.bin`` whose
+    bytes do not hash to the manifest's ``bin_sha256``, when it records
+    one, is a DataError."""
     prefix = str(prefix)
     try:
         with open(prefix + ".json", encoding="utf-8") as fh:
@@ -481,13 +496,15 @@ def load_checkpoint(prefix):
     except ConfigError as exc:
         raise DataError(f"{prefix}.json: {exc}") from None
     with open(prefix + ".bin", "rb") as fh:
-        flat = np.frombuffer(fh.read(), dtype="<f8")
+        raw = fh.read()
+    digest = manifest.get("bin_sha256")
+    if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
+        raise DataError(f"{prefix}.bin: the parameter bytes do not match the manifest's SHA-256")
     params = model.parameters()
     expect = sum(p.size for p in params)
-    if flat.size != expect:
-        raise DataError(
-            f"checkpoint holds {flat.size} parameter values, model needs {expect}"
-        )
+    if len(raw) != 8 * expect:
+        raise DataError(f"checkpoint holds {len(raw)} parameter bytes, model needs {8 * expect}")
+    flat = np.frombuffer(raw, dtype="<f8")
     pos = 0
     for p in params:
         p.data[...] = flat[pos : pos + p.size].reshape(p.data.shape)

@@ -3,6 +3,7 @@ real files in a temp directory, exit codes checked on each failure path,
 and rerun determinism verified byte for byte."""
 
 import argparse
+import csv
 import json
 
 import numpy as np
@@ -342,6 +343,60 @@ def test_importance_fold_out_of_range_exits_2(trained_dir, data_path, tmp_path):
         "--fold", "9",
     ])
     assert rc == 2
+
+
+def test_importance_fold_is_checked_before_any_file_is_read(data_path, tmp_path, capsys):
+    for fold in ("9", "-1"):
+        rc = main([
+            "importance", "--data", str(tmp_path / "absent.csv"), "--target", "label",
+            "--checkpoint", str(tmp_path / "absent"), "--out", str(tmp_path / "o"),
+            "--fold", fold,
+        ])
+        assert rc == 2
+        assert "fold must lie in [0, 5)" in capsys.readouterr().err
+
+
+def test_importance_csv_quotes_names_with_commas_and_quotes(tmp_path):
+    names = ["a,b", 'say "hi"', "plain"]
+    rng = np.random.default_rng(3)
+    table = tmp_path / "odd.csv"
+    with open(table, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names + ["label"])
+        for _ in range(80):
+            x = rng.normal(size=3)
+            writer.writerow([f"{v:.6f}" for v in x] + [int(x[0] > 0)])
+    common = ["--data", str(table), "--target", "label", "--model", "logistic"]
+    assert main(["train", *common, "--out", str(tmp_path / "m")]) == 0
+    out = tmp_path / "imp"
+    rc = main([
+        "importance", *common, "--checkpoint", str(tmp_path / "m" / "model"),
+        "--out", str(out), "--repeats", "1",
+    ])
+    assert rc == 0
+    with open(out / "importance.csv", newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))
+    assert records[0] == ["feature", "mean_drop"]
+    assert all(len(r) == 2 for r in records)
+    doc = json.loads((out / "importance.json").read_text(encoding="utf-8"))
+    assert [r[0] for r in records[1:]] == [f["name"] for f in doc["features"]]
+    assert sorted(r[0] for r in records[1:]) == sorted(names)
+    assert [float(r[1]) for r in records[1:]] == [f["mean_drop"] for f in doc["features"]]
+
+
+def test_checkpoint_with_a_flipped_byte_exits_3(trained_dir, data_path, tmp_path, capsys):
+    (tmp_path / "model.json").write_bytes((trained_dir / "model.json").read_bytes())
+    raw = bytearray((trained_dir / "model.bin").read_bytes())
+    raw[5] ^= 0x01
+    (tmp_path / "model.bin").write_bytes(bytes(raw))
+    rc = main([
+        "importance", "--data", data_path, "--target", "label",
+        "--checkpoint", str(tmp_path / "model"), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "SHA-256" in err
+    assert "Traceback" not in err
 
 
 def test_importance_missing_checkpoint_setting_exits_2(data_path, tmp_path):

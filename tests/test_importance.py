@@ -195,3 +195,7 @@ class TestPermutationImportance:
         assert lines[0] == "feature,mean_drop"
         assert len(lines) == 2
         assert lines[1].startswith(report.features[0].name + ",")
+        # plain names keep the bytes of the hand-joined format
+        assert report.to_csv() == "feature,mean_drop\n" + "".join(
+            f"{f.name},{f.mean_drop!r}\n" for f in report.features
+        )

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import math
 import warnings
 
@@ -462,6 +464,38 @@ class TestCheckpoints:
             load_checkpoint(tmp_path / "tf")
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_manifest_records_the_bin_digest(self, tmp_path):
+        save_checkpoint(LogisticModel(numeric_schema(3), seed=28), tmp_path / "lr")
+        doc = json.loads((tmp_path / "lr.json").read_text())
+        assert doc["bin_sha256"] == hashlib.sha256((tmp_path / "lr.bin").read_bytes()).hexdigest()
+
+    def test_changed_parameter_bytes_rejected(self, tmp_path):
+        save_checkpoint(LogisticModel(numeric_schema(3), seed=29), tmp_path / "lr")
+        raw = bytearray((tmp_path / "lr.bin").read_bytes())
+        raw[-1] ^= 0x80
+        (tmp_path / "lr.bin").write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="SHA-256"):
+            load_checkpoint(tmp_path / "lr")
+
+    def test_manifest_without_digest_loads_bitwise(self, tmp_path):
+        model = Model(tiny_config(n_blocks=2), mixed_schema(), seed=30)
+        save_checkpoint(model, tmp_path / "old")
+        doc = json.loads((tmp_path / "old.json").read_text())
+        del doc["bin_sha256"]
+        (tmp_path / "old.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        X = np.array([[0.4, 1.0, -0.7, 0.0], [2.0, 0.0, 0.1, 2.0]])
+        assert np.array_equal(load_checkpoint(tmp_path / "old").predict_proba(X), model.predict_proba(X))
+
+    def test_parameter_file_of_a_partial_value_rejected(self, tmp_path):
+        save_checkpoint(LogisticModel(numeric_schema(2), seed=31), tmp_path / "lr")
+        doc = json.loads((tmp_path / "lr.json").read_text())
+        del doc["bin_sha256"]
+        (tmp_path / "lr.json").write_text(json.dumps(doc))
+        raw = (tmp_path / "lr.bin").read_bytes()
+        (tmp_path / "lr.bin").write_bytes(raw[:-3])
+        with pytest.raises(DataError, match="parameter bytes"):
+            load_checkpoint(tmp_path / "lr")
 
     def test_mlp_round_trip(self, tmp_path):
         model = MlpModel(numeric_schema(3), hidden=(5,), seed=26)

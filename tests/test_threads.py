@@ -70,6 +70,28 @@ def test_fused_ops_are_bitwise_equal_for_one_and_two_workers(kind, rate, monkeyp
     assert len(threads) > 1  # a helper thread ran some tiles
 
 
+@needs_two_cpus
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+def test_last_only_block_is_bitwise_equal_for_one_and_two_workers(training, monkeypatch):
+    blk = TransformerBlock(CFG, np.random.default_rng(0), index=0)
+    x0 = np.random.default_rng(1).normal(size=(600, 10, CFG.embed_dim))
+
+    def outputs():
+        x = Tensor(x0, requires_grad=True)
+        for p in blk.parameters():
+            p.zero_grad()
+        with Tape() as tape:
+            out = blk.forward(x, training, np.random.default_rng(3), last_only=True)
+            tape.backward(ad.sum_all(out))
+        return [out.data, x.grad] + [p.grad.copy() for p in blk.parameters()]
+
+    monkeypatch.setattr(ad, "_WORKERS", 1)
+    serial = outputs()
+    monkeypatch.setattr(ad, "_WORKERS", 2)
+    for a, b in zip(serial, outputs()):
+        assert np.array_equal(a, b)
+
+
 def tiny_model():
     schema = FeatureSchema(tuple(ColumnSchema(f"x{j}", NUMERIC) for j in range(6)))
     X = np.random.default_rng(4).normal(size=(700, 6))
