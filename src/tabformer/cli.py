@@ -75,7 +75,7 @@ def _load_config_file(path: Optional[str]) -> RunConfig:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return RunConfig.from_dict(doc)
 

@@ -1,6 +1,14 @@
 """Dataset ingestion, schemas, standardization, stratified folds, and a
 synthetic generator with known ground truth.
 
+Ingest works on columns. ``load_csv`` transposes the reader's rows a
+chunk at a time into one list of stripped tokens per column, and the
+builder makes one pass over each column: one float conversion per cell
+both decides the column's kind and gives its values, one dict pass gives
+a categorical column's codes, and each column is written into one
+preallocated matrix. The generator formats its table a column at a time
+and hands those columns to the same builder.
+
 Conventions baked in here:
 
 * missing numeric cells impute to raw 0.0 BEFORE any standardization;
@@ -19,7 +27,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
+from itertools import islice, repeat
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -154,28 +164,35 @@ class Dataset:
 # CSV ingestion
 
 
-def _parse_numeric(token: str) -> Optional[float]:
+_CHUNK_ROWS = 4096  # rows transposed at a time: the table is never held as rows
+
+
+def _floats(tokens: Sequence[str], blank: float) -> Optional[list]:
+    """One float conversion per cell, ``blank`` for an empty cell; None
+    when some cell is not a number."""
     try:
-        return float(token)
+        return [float(tok) if tok else blank for tok in tokens]
     except ValueError:
         return None
 
 
-def _parse_label(token: str, line_no: int) -> int:
-    v = _parse_numeric(token.strip())
-    if v is None or v not in (0.0, 1.0):
-        raise DataError(f"line {line_no}: label {token!r} is not 0 or 1")
-    return int(v)
+def _first_bad(items: Sequence, ok) -> tuple:
+    """File line (header = 1) and value of the first of a column's cells,
+    or a chunk's rows, that ``ok`` rejects. Only error messages walk a
+    column a cell at a time."""
+    i = next(i for i, item in enumerate(items) if not ok(item))
+    return i + 2, items[i]
 
 
 def _build_dataset(
     names: Sequence[str],
-    cells: Sequence[Sequence[str]],
-    labels: Sequence[int],
+    columns: Sequence[Sequence[str]],
+    labels: Sequence[float],
     schema_hints: Optional[dict] = None,
     add_missing_indicators: bool = False,
 ) -> Dataset:
-    """Shared builder behind load_csv and the synthetic generator.
+    """Shared builder behind load_csv and the synthetic generator: one
+    pass over each column of stripped tokens, written into one matrix.
 
     Kind inference: a column is numeric when every non-empty cell parses
     as a float; hints override. Empty cells are missing for numeric
@@ -183,60 +200,36 @@ def _build_dataset(
     categorical ones.
     """
     hints = dict(schema_hints or {})
-    for name in hints:
+    for name, kind in hints.items():
         if name not in names:
             raise ConfigError(f"schema hint for unknown column {name!r}")
-    n_cols = len(names)
-    kinds = []
-    for j, name in enumerate(names):
-        if name in hints:
-            kind = hints[name]
-            if kind not in (NUMERIC, CATEGORICAL):
-                raise ConfigError(f"schema hint for {name!r} must be numeric or categorical")
+        if kind not in (NUMERIC, CATEGORICAL):
+            raise ConfigError(f"schema hint for {name!r} must be numeric or categorical")
+
+    matrix = np.empty((len(labels), len(names)), dtype=np.float64)
+    schema = []
+    indicators = []  # (name, blank flags) of each numeric column
+    for j, (name, tokens) in enumerate(zip(names, columns)):
+        kind = hints.get(name)
+        values = None if kind == CATEGORICAL else _floats(tokens, 0.0)
+        if values is None and kind == NUMERIC:
+            line, tok = _first_bad(tokens, lambda t: _floats([t], 0.0) is not None)
+            raise DataError(f"line {line}: column {name!r} value {tok!r} is not numeric")
+        if values is None:
+            vocab: dict = {}  # first-appearance order
+            matrix[:, j] = [vocab.setdefault(tok, len(vocab)) for tok in tokens]
+            schema.append(ColumnSchema(name=name, kind=CATEGORICAL, vocabulary=tuple(vocab)))
         else:
-            kind = NUMERIC
-            for row in cells:
-                tok = row[j].strip()
-                if tok and _parse_numeric(tok) is None:
-                    kind = CATEGORICAL
-                    break
-        kinds.append(kind)
+            matrix[:, j] = values
+            schema.append(ColumnSchema(name=name, kind=NUMERIC))
+            if add_missing_indicators:
+                indicators.append((f"{name}__missing", [not tok for tok in tokens]))
 
-    n = len(cells)
-    matrix = np.zeros((n, n_cols), dtype=np.float64)
-    missing = np.zeros((n, n_cols), dtype=bool)
-    columns = []
-    for j, (name, kind) in enumerate(zip(names, kinds)):
-        if kind == NUMERIC:
-            for i, row in enumerate(cells):
-                tok = row[j].strip()
-                if not tok:
-                    missing[i, j] = True  # imputed as raw 0.0
-                    continue
-                v = _parse_numeric(tok)
-                if v is None:
-                    raise DataError(f"line {i + 2}: column {name!r} value {tok!r} is not numeric")
-                matrix[i, j] = v
-            columns.append(ColumnSchema(name=name, kind=NUMERIC))
-        else:
-            vocab: dict = {}
-            for i, row in enumerate(cells):
-                tok = row[j].strip()
-                if tok not in vocab:
-                    vocab[tok] = len(vocab)  # first-appearance order
-                matrix[i, j] = vocab[tok]
-            columns.append(ColumnSchema(name=name, kind=CATEGORICAL, vocabulary=tuple(vocab)))
-
-    if add_missing_indicators:
-        indicator_cols = [j for j, k in enumerate(kinds) if k == NUMERIC]
-        extra = missing[:, indicator_cols].astype(np.float64)
-        matrix = np.hstack([matrix, extra])
-        for j in indicator_cols:
-            columns.append(ColumnSchema(name=f"{names[j]}__missing", kind=NUMERIC))
-
-    schema = FeatureSchema(tuple(columns))
+    if indicators:
+        matrix = np.column_stack([matrix, *(blank for _, blank in indicators)])
+        schema += [ColumnSchema(name=name, kind=NUMERIC) for name, _ in indicators]
     labels_arr = np.asarray(labels, dtype=np.int64)
-    return Dataset(rows=matrix, labels=labels_arr, schema=schema)
+    return Dataset(rows=matrix, labels=labels_arr, schema=FeatureSchema(tuple(schema)))
 
 
 def load_csv(
@@ -248,31 +241,39 @@ def load_csv(
     """Load a UTF-8, comma-separated, headered CSV into a Dataset.
 
     Empty string means missing. Labels must parse to exactly 0 or 1.
-    Ragged rows fail with the offending file line number (header = 1).
+    Faults name the offending file line (header = 1): a ragged row
+    anywhere is reported before a bad label, and a bad label before a
+    bad feature cell. A file that is not UTF-8 or not CSV is a DataError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if target_column not in header:
-            raise DataError(f"{path}: target column {target_column!r} not in header")
-        target_idx = header.index(target_column)
-        names = [h for i, h in enumerate(header) if i != target_idx]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: file is empty")
+            header = [h.strip() for h in header]
+            if target_column not in header:
+                raise DataError(f"{path}: target column {target_column!r} not in header")
+            columns = [[] for _ in header]
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                if set(map(len, chunk)) != {len(header)}:
+                    line, row = _first_bad(chunk, lambda r: len(r) == len(header))
+                    raise DataError(
+                        f"line {line + len(columns[0])}: expected {len(header)} cells, found {len(row)}"
+                    )
+                for column, cells in zip(columns, zip(*chunk)):
+                    column += map(str.strip, cells)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
-        cells = []
-        labels = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"line {line_no}: expected {len(header)} cells, found {len(row)}"
-                )
-            labels.append(_parse_label(row[target_idx], line_no))
-            cells.append([c for i, c in enumerate(row) if i != target_idx])
-
-    return _build_dataset(names, cells, labels, schema_hints, add_missing_indicators)
+    target_idx = header.index(target_column)
+    del header[target_idx]
+    tokens = columns.pop(target_idx)
+    labels = _floats(tokens, math.nan)
+    if labels is None or not set(labels) <= {0.0, 1.0}:
+        line, tok = _first_bad(tokens, lambda t: _floats([t], math.nan) in ([0.0], [1.0]))
+        raise DataError(f"line {line}: label {tok!r} is not 0 or 1")
+    return _build_dataset(header, columns, labels, schema_hints, add_missing_indicators)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +294,11 @@ def fit_standardizer(rows: np.ndarray, schema: FeatureSchema) -> Standardizer:
         raise DataError("standardizer needs at least 2 training rows")
     idx = schema.numeric_indices()
     cols = rows[:, idx]
-    return Standardizer(
-        numeric_indices=idx,
-        means=cols.mean(axis=0),
-        stds=cols.std(axis=0),  # population std
-    )
+    with np.errstate(over="ignore"):  # an overflow is the DataError below
+        means, stds = cols.mean(axis=0), cols.std(axis=0)  # population std
+    if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+        raise DataError("numeric values too large to standardize: a mean or std overflows")
+    return Standardizer(numeric_indices=idx, means=means, stds=stds)
 
 
 def apply_standardizer(rows: np.ndarray, stats: Standardizer) -> np.ndarray:
@@ -466,7 +467,7 @@ def load_generator_spec(path) -> GeneratorSpec:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"spec file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return GeneratorSpec.from_dict(doc)
 
@@ -500,13 +501,9 @@ def bayes_probabilities(spec: GeneratorSpec, n: int, seed: Optional[int] = None)
     return true_probabilities(spec, _draw_values(spec, n, seed))
 
 
-def generate_table(spec: GeneratorSpec, n: int, seed: Optional[int] = None):
-    """Raw generated table: (header, string rows, labels).
-
-    Missing cells are empty strings, exactly as they would appear in the
-    CSV interchange format. Numeric cells use repr() so a CSV round trip
-    is bit-exact.
-    """
+def _generate_columns(spec: GeneratorSpec, n: int, seed: Optional[int]):
+    """(names, one list of CSV cells per column, labels) of the table
+    generate_table writes."""
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
     seed = spec.seed if seed is None else int(seed)
@@ -517,37 +514,34 @@ def generate_table(spec: GeneratorSpec, n: int, seed: Optional[int] = None):
         flips = stream_rng(seed, "synth", _GEN_NOISE).random(n) < spec.noise_rate
         y = np.where(flips, 1 - y, y)
 
-    blank = np.zeros((n, len(spec.columns)), dtype=bool)
-    if spec.missing_rate > 0.0:
-        for j, col in enumerate(spec.columns):
-            if col.missing:
-                mask = stream_rng(seed, "synth", _GEN_MISSING_BASE + j).random(n)
-                blank[:, j] = mask < spec.missing_rate
+    columns = []
+    for j, col in enumerate(spec.columns):
+        blank = repeat(False)
+        if col.missing and spec.missing_rate > 0.0:
+            draws = stream_rng(seed, "synth", _GEN_MISSING_BASE + j).random(n)
+            blank = (draws < spec.missing_rate).tolist()
+        fmt = repr if col.kind == NUMERIC else (lambda v: f"c{v:.0f}")
+        columns.append(["" if b else fmt(v) for v, b in zip(values[:, j].tolist(), blank)])
+    return [c.name for c in spec.columns], columns, y
 
-    header = [c.name for c in spec.columns] + [spec.target]
-    rows = []
-    for i in range(n):
-        row = []
-        for j, col in enumerate(spec.columns):
-            if blank[i, j]:
-                row.append("")
-            elif col.kind == NUMERIC:
-                row.append(repr(float(values[i, j])))
-            else:
-                row.append(f"c{int(values[i, j])}")
-        row.append(str(int(y[i])))
-        rows.append(row)
-    return header, rows, y
+
+def generate_table(spec: GeneratorSpec, n: int, seed: Optional[int] = None):
+    """Raw generated table: (header, string rows, labels).
+
+    Missing cells are empty strings, exactly as they would appear in the
+    CSV interchange format. Numeric cells use repr() so a CSV round trip
+    is bit-exact.
+    """
+    names, columns, y = _generate_columns(spec, n, seed)
+    rows = [list(row) for row in zip(*columns, map(str, y.tolist()))]
+    return names + [spec.target], rows, y
 
 
 def generate_synthetic(spec: GeneratorSpec, n: int, seed: Optional[int] = None) -> Dataset:
     """Generate a Dataset through the same builder the CSV loader uses,
     so generate -> write -> load is value-identical."""
-    header, rows, y = generate_table(spec, n, seed)
-    names = header[:-1]
-    cells = [row[:-1] for row in rows]
-    hints = {c.name: c.kind for c in spec.columns}
-    return _build_dataset(names, cells, list(y), schema_hints=hints)
+    names, columns, y = _generate_columns(spec, n, seed)
+    return _build_dataset(names, columns, y, schema_hints={c.name: c.kind for c in spec.columns})
 
 
 def write_csv(header: Sequence[str], rows: Sequence[Sequence[str]], path):

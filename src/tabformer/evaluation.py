@@ -116,9 +116,7 @@ def auprc(points: np.ndarray) -> float:
 
 
 def pr_points_to_csv(points: np.ndarray) -> str:
-    lines = ["recall,precision"]
-    for r, p in points:
-        lines.append(f"{float(r)!r},{float(p)!r}")
+    lines = ["recall,precision"] + [f"{r!r},{p!r}" for r, p in points.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -151,7 +149,7 @@ class FoldReport:
                 "tn": self.metrics.tn,
                 "fn": self.metrics.fn,
             },
-            "pr_points": [[float(r), float(p)] for r, p in self.pr_points],
+            "pr_points": self.pr_points.tolist(),
         }
 
 

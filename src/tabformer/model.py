@@ -475,7 +475,7 @@ def load_checkpoint(prefix):
     try:
         with open(prefix + ".json", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise DataError(f"{prefix}.json: invalid manifest ({exc})") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"{prefix}.json: manifest must be a JSON object")

@@ -4,10 +4,18 @@ Every random choice in the package flows from one top-level seed through
 named streams, so that a run is a pure function of (config, data, seed).
 Stream derivations used across the package:
 
-  folds:        stream_rng(seed, "folds")
-  fold f train: shuffle/dropout generators seeded with seed + f inside run_cv
-  importance:   per-feature generator seeded with seed + feature_index
-  generator:    stream_rng(seed, "synth", column_index) per column
+  folds:      stream_rng(seed, "folds"), for cv folds and for the
+              validation holdout (fold f of run_cv holds out with seed + f)
+  init:       stream_rng(model_seed, "init") draws a model's weights; the
+              model seed is the run seed (seed + f for fold f of run_cv)
+  shuffle:    stream_rng(config_seed, "shuffle") orders train's batches
+  dropout:    stream_rng(config_seed, "dropout") draws train's masks; the
+              config seed is TrainConfig.seed: the run seed unless the
+              train_config sets one (seed + f for fold f of run_cv)
+  importance: stream_rng(seed + feature_index, "importance")
+  synth:      stream_rng(seed, "synth", column_index) per column's values;
+              keys 1_000_000 (labels), 1_000_001 (label noise) and
+              2_000_000 + column_index (missing cells)
 """
 
 import numpy as np

@@ -4,13 +4,18 @@ and rerun determinism verified byte for byte."""
 
 import argparse
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tabformer.cli import RunConfig, build_parser, main
-from tabformer.data import load_csv
+from tabformer.data import CATEGORICAL, NUMERIC, load_csv
 from tabformer.errors import ConfigError
 from tabformer.model import MODELS, load_checkpoint
 from tabformer.training import TrainConfig
@@ -399,6 +404,35 @@ def test_checkpoint_with_a_flipped_byte_exits_3(trained_dir, data_path, tmp_path
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "reader, code", [("config", 2), ("spec", 2), ("data", 3), ("manifest", 3)]
+)
+def test_file_that_is_not_utf8_exits_cleanly(
+    trained_dir, data_path, spec_path, tmp_path, capsys, reader, code
+):
+    def spoiled(source, name):
+        path = tmp_path / name
+        path.write_bytes(Path(source).read_bytes() + b"\xff")
+        return str(path)
+
+    (tmp_path / "run.json").write_text('{"model": "logistic"}', encoding="utf-8")
+    (tmp_path / "model.bin").write_bytes((trained_dir / "model.bin").read_bytes())
+    out = str(tmp_path / "o")
+    common = ["--target", "label", "--out", out]
+    argv = {
+        "config": ["train", "--config", spoiled(tmp_path / "run.json", "run.json"),
+                   "--data", data_path, *common],
+        "spec": ["synth", "--spec", spoiled(spec_path, "spec.json"), "--n", "5", "--out", out],
+        "data": ["train", "--data", spoiled(data_path, "t.csv"), "--model", "logistic", *common],
+        "manifest": ["importance", "--data", data_path, *common,
+                     "--checkpoint", spoiled(trained_dir / "model.json", "model.json")[:-5]],
+    }[reader]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "can't decode byte 0xff" in err
+    assert "Traceback" not in err
+
+
 def test_importance_missing_checkpoint_setting_exits_2(data_path, tmp_path):
     rc = main([
         "importance", "--data", data_path, "--target", "label",
@@ -571,3 +605,110 @@ def test_malformed_manifest_value_exits_3(trained_dir, data_path, tmp_path, caps
     rc = _importance_with_manifest(trained_dir, data_path, tmp_path, edit)
     assert rc == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any CSV ends in a clean exit code, and a table `train` accepts
+# loads the way a per-cell reference reads it
+
+numbers = st.floats(-1e6, 1e6).map(repr) | st.integers(-99, 99).map(str)
+words = st.sampled_from(["a", "b", "a,b", 'say "hi"', "é", "x\ny"])
+odd = st.sampled_from(["", "nan", "inf", "-inf", "1e400", "1e308", "1_0", "0x1", " 2", "-0"]) | st.text(
+    alphabet='01.e-+ ,"ab\t\r\n', max_size=4
+)
+
+
+def rarely(usual, unusual):
+    """``usual`` nine times in ten, otherwise ``unusual``."""
+    return st.integers(0, 9).flatmap(lambda i: usual if i else unusual)
+
+
+def padded(cell):
+    return st.tuples(st.sampled_from(["", " ", "\t"]), cell, st.sampled_from(["", " "])).map("".join)
+
+
+@st.composite
+def csv_texts(draw):
+    n = draw(st.integers(16, 24))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        typical = draw(st.sampled_from([numbers, words]))
+        columns.append(draw(st.lists(rarely(typical, odd | padded(typical)), min_size=n, max_size=n)))
+    labels = draw(st.permutations(["0", "1"] * (n // 2) + ["1"] * (n % 2)))
+    if draw(st.integers(0, 4)) == 0:
+        labels[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from(["2", "", "x", "0.5", "nan", " 1 ", "1.0", "-0"])
+        )
+    target = draw(st.integers(0, len(columns)))
+    header = [f"f{j}" for j in range(len(columns))]
+    header.insert(target, "label")
+    columns.insert(target, labels)
+    rows = [list(row) for row in zip(*columns)]
+    if draw(st.integers(0, 9)) == 0:  # one ragged row
+        row = rows[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append("1")
+    if draw(st.integers(0, 9)) == 0:  # unquoted, so commas and quotes split cells
+        return "".join(",".join(row) + "\n" for row in [header, *rows])
+    out = io.StringIO()
+    csv.writer(out).writerows([header, *rows])
+    return out.getvalue()
+
+
+def is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def read_cells(path):
+    """What a table loads as, one cell at a time: each feature column's
+    (name, kind, vocabulary, values), and the labels."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    target = header.index("label")
+    columns = []
+    for j, name in enumerate(header):
+        tokens = [row[j].strip() for row in rows]
+        if j == target:
+            continue
+        if all(tok == "" or is_number(tok) for tok in tokens):
+            columns.append((name, NUMERIC, (), [float(tok) if tok else 0.0 for tok in tokens]))
+        else:
+            vocab = tuple(dict.fromkeys(tokens))
+            columns.append((name, CATEGORICAL, vocab, [float(vocab.index(tok)) for tok in tokens]))
+    return columns, [int(float(row[target])) for row in rows]
+
+
+@settings(
+    database=None,
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(text=csv_texts())
+def test_fuzzed_csv_exits_cleanly(text, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, cfg, out = Path(tmp, "t.csv"), Path(tmp, "run.json"), Path(tmp, "o")
+        data.write_text(text, encoding="utf-8", newline="")
+        cfg.write_text('{"model": "logistic", "train_config": {"max_epochs": 1}}', encoding="utf-8")
+        capsys.readouterr()
+        rc = main([
+            "train", "--config", str(cfg), "--data", str(data), "--target", "label", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+        if rc == 0:
+            columns, labels = read_cells(data)
+            ds = load_csv(data, "label")
+            got = [(c.name, c.kind, c.vocabulary, ds.rows[:, j].tolist()) for j, c in enumerate(ds.schema.columns)]
+            assert got == columns
+            assert ds.labels.tolist() == labels
+            manifest = json.loads((out / "model.json").read_text(encoding="utf-8"))
+            schema = [(c["name"], c["kind"], tuple(c["vocabulary"])) for c in manifest["schema"]["columns"]]
+            assert schema == [c[:3] for c in columns]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tabformer import data
 from tabformer.data import (
     CATEGORICAL,
     NUMERIC,
@@ -76,6 +77,22 @@ class TestLoadCsv:
         assert ds.rows[:, 1].tolist() == [0.0, 1.0, 0.0]
         assert ds.labels.tolist() == [1, 0, 1]
 
+    def test_each_numeric_cell_is_parsed_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.csv"
+        write_lines(p, ["a,city,b,label", "1.5,oslo,-2,0", ",lima,3e1,1", "4.25,oslo,7,1"])
+        parsed = []
+
+        class CountingFloat(float):  # a type, so data's float annotations still resolve
+            def __new__(cls, token):
+                parsed.append(token)
+                return float.__new__(cls, token)
+
+        monkeypatch.setattr(data, "float", CountingFloat, raising=False)
+        ds = load_csv(p, "label")
+        assert ds.rows[:, [0, 2]].tolist() == [[1.5, -2.0], [0.0, 30.0], [4.25, 7.0]]
+        numeric = ["1.5", "4.25", "-2", "3e1", "7"]
+        assert sorted(t for t in parsed if t in numeric) == sorted(numeric)
+
     def test_missing_numeric_becomes_raw_zero(self, tmp_path):
         p = tmp_path / "t.csv"
         write_lines(p, ["x,label", "2,0", "4,1", ",1"])
@@ -102,6 +119,26 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         write_lines(p, ["a,label", "1,0", "2,maybe"])
         with pytest.raises(DataError, match="line 3"):
+            load_csv(p, "label")
+
+    def test_ragged_row_after_the_first_chunk_names_its_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        rows = ["1,0"] * 9000
+        rows[8000] = "1"
+        write_lines(p, ["a,label", *rows])
+        with pytest.raises(DataError, match="line 8002: expected 2 cells, found 1"):
+            load_csv(p, "label")
+
+    def test_ragged_row_is_reported_before_an_earlier_bad_label(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_lines(p, ["a,b,label", "1,2,maybe", "1,0"])
+        with pytest.raises(DataError, match="line 3: expected 3 cells"):
+            load_csv(p, "label")
+
+    def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_lines(p, ["a,label", "x" * 200_000 + ",1"])
+        with pytest.raises(DataError, match="field limit"):
             load_csv(p, "label")
 
     def test_fractional_label_rejected(self, tmp_path):
@@ -193,6 +230,12 @@ class TestStandardizer:
         schema = FeatureSchema((ColumnSchema("a", NUMERIC),))
         with pytest.raises(DataError):
             fit_standardizer(np.ones((1, 1)), schema)
+
+    def test_overflowing_statistics_are_a_data_error(self):
+        rows = np.array([[1e308], [-1e308], [1e308]])
+        schema = FeatureSchema((ColumnSchema("a", NUMERIC),))
+        with pytest.raises(DataError, match="overflows"):
+            fit_standardizer(rows, schema)
 
     def test_categorical_columns_untouched(self):
         rows = np.array([[10.0, 1.0], [20.0, 0.0]])

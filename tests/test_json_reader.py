@@ -1,7 +1,9 @@
 """The one JSON reader (``errors.from_dict``) behind run configs, train
 and model configs, generator specs and checkpoint schemas: unknown keys,
 missing fields and wrongly typed values are config errors (exit 2, or
-exit 3 inside a checkpoint manifest), and no value is ever cast."""
+exit 3 inside a checkpoint manifest), and no value is ever cast. Spec
+and run-config documents and damaged checkpoints are fuzzed through the
+command line."""
 
 import contextlib
 import io
@@ -14,7 +16,6 @@ from typing import Tuple
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from tabformer.cli import main
 from tabformer.data import (
@@ -28,12 +29,6 @@ from tabformer.data import (
 from tabformer.errors import ConfigError, check_field_types, from_dict
 from tabformer.seeding import stream_rng
 from tabformer.training import TrainConfig
-
-# Hypothesis caches what it finds in local source files under its home
-# directory while tests are being collected; with ``database=None`` on the
-# fuzz test, that cache is all it writes. Keep it out of the working tree.
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
-set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 SPEC = {
     "columns": [
@@ -281,24 +276,28 @@ def test_malformed_manifest_exits_3(data_path, mlp_dir, tmp_path, edit):
 # ---------------------------------------------------------------------------
 # fuzz: any spec document ends in a clean exit code
 
-json_leaf = (
-    st.none()
-    | st.booleans()
-    | st.integers(-3, 2**40)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text(max_size=3)
-)
-json_value = st.recursive(
-    json_leaf,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=6,
-)
+def json_values(max_int):
+    leaf = (
+        st.none()
+        | st.booleans()
+        | st.integers(-3, max_int)
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.text(max_size=3)
+    )
+    return st.recursive(
+        leaf,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    )
 
 
-def mostly(valid):
-    """``valid`` nine times in ten, otherwise any JSON value."""
-    return st.integers(0, 9).flatmap(lambda i: valid if i else json_value)
+json_value = json_values(2**40)
+
+
+def mostly(valid, other=json_value):
+    """``valid`` nine times in ten, otherwise ``other``: any JSON value."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else other)
 
 
 number = mostly(st.floats(-8, 8) | st.integers(-3, 3))
@@ -351,6 +350,118 @@ def test_fuzzed_spec_exits_cleanly(doc):
         rc, err = synth(tmp, doc)
     assert rc in (0, 2, 3, 4), err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any run config, and any one-byte damage to a checkpoint, ends in a
+# clean exit code
+
+# A run config sizes the work, so its integers stay small: no document
+# asks for unbounded epochs or a huge hidden layer.
+small_json_value = json_values(4)
+
+
+def sized(valid):
+    return mostly(valid, small_json_value)
+
+
+run_doc = sized(
+    st.fixed_dictionaries(
+        {
+            "model": sized(st.sampled_from(["logistic", "mlp"])),
+            "train_config": sized(
+                st.fixed_dictionaries(
+                    {"max_epochs": sized(st.integers(-1, 3))},
+                    optional={
+                        "lr": number,
+                        "weight_decay": number,
+                        "eps_adam": number,
+                        "betas": sized(st.lists(sized(st.floats(-0.5, 1.5)), min_size=2, max_size=2)),
+                        "batch_size": sized(st.integers(-1, 64)),
+                        "patience": sized(st.integers(-1, 3)),
+                        "seed": sized(st.integers(-3, 3) | st.integers(0, 2**64)),
+                    },
+                )
+            ),
+        },
+        optional={
+            "model_config": sized(
+                st.fixed_dictionaries({}, optional={"hidden": sized(st.lists(sized(st.integers(-1, 4)), max_size=2))})
+            ),
+            "seed": sized(st.integers(-3, 3) | st.integers(0, 2**64)),
+            "k_folds": sized(st.integers(-1, 6)),
+            "threshold": sized(st.floats(-0.5, 1.5)),
+            "schema_hints": sized(
+                st.dictionaries(
+                    st.sampled_from(["x0", "g", "x1", "y"]),
+                    sized(st.sampled_from([NUMERIC, CATEGORICAL])),
+                    max_size=2,
+                )
+            ),
+            "add_missing_indicators": sized(st.booleans()),
+            "fold": sized(st.integers(-1, 5)),
+            "top_n": sized(st.integers(-1, 3)),
+            "repeats": sized(st.integers(-1, 3)),
+            "identity_check": sized(st.booleans()),
+        },
+    )
+)
+
+
+@settings(
+    database=None, max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(doc=run_doc)
+def test_fuzzed_run_config_exits_cleanly(data_path, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        rc, err = run([
+            "train", "--config", str(cfg), "--data", data_path, "--target", "label",
+            "--out", str(Path(tmp) / "o"),
+        ])
+    assert rc in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def logistic_dir(data_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp("logistic")
+    rc, err = train(data_path, out, {})
+    assert rc == 0, err
+    return out
+
+
+@settings(
+    database=None, max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    damaged=st.sampled_from(["model.json", "model.bin"]),
+    edit=st.sampled_from(["flip", "truncate", "extend"]),
+    at=st.integers(0, 2**20),
+    byte=st.integers(1, 255),
+)
+def test_fuzzed_checkpoint_exits_cleanly(data_path, logistic_dir, damaged, edit, at, byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("model.json", "model.bin"):
+            raw = bytearray((logistic_dir / name).read_bytes())
+            if name == damaged:
+                i = at % len(raw)
+                if edit == "flip":
+                    raw[i] ^= byte
+                elif edit == "truncate":
+                    del raw[i:]
+                else:
+                    raw.insert(i, byte)
+            (Path(tmp) / name).write_bytes(raw)
+        rc, err = run([
+            "importance", "--data", data_path, "--target", "label", "--repeats", "1",
+            "--checkpoint", str(Path(tmp) / "model"), "--out", str(Path(tmp) / "o"),
+        ])
+    assert rc in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if damaged == "model.bin":
+        assert rc == 3, err  # the manifest's SHA-256 covers every byte
 
 
 # ---------------------------------------------------------------------------
