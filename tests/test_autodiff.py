@@ -192,6 +192,85 @@ class TestElementwise:
 
 
 # ---------------------------------------------------------------------------
+# the GELU kernel and its Gaussian CDF
+
+
+def gelu_kernel(u):
+    """(GELU(u), Phi(u), exp(-u^2 / 2)) from ``autodiff._gelu_kernel``."""
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    act, cdf, w = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    ad._gelu_kernel(u, act, cdf, w)
+    return act, cdf, w
+
+
+def phi_oracle(u):
+    # oracle: 0.5 * (1 + erf(u / sqrt(2))) with math.erf
+    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in u])
+
+
+EDGES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1e-300, -1e-20,
+    8.5, -8.5, 9.0, -9.0, 20.0, -20.0, 37.5, -37.5, 38.6, -38.6, 39.9, -39.9, 40.0, -40.0,
+    41.0, -41.0, 1e10, -1e10, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+])
+
+
+class TestGeluKernel:
+    def test_dense_grid_and_edges_within_2_to_the_minus_52(self):
+        u = np.concatenate([np.linspace(-40.0, 40.0, 1_000_001), EDGES])
+        act, cdf, _ = gelu_kernel(u)
+        phi = phi_oracle(u)
+        assert np.abs(cdf - phi).max() <= 2.0**-52
+        assert np.all(np.abs(act - u * phi) <= 2.0**-52 * np.maximum(1.0, np.abs(u)))
+
+    def test_exact_at_zero_and_in_the_tails(self):
+        act, cdf, _ = gelu_kernel(EDGES)
+        assert np.array_equal(cdf[:4], [0.5] * 4)
+        assert np.all(cdf[(EDGES >= 8.5)] == 1.0)
+        assert np.all((cdf[EDGES <= -8.5] >= 0.0) & (cdf[EDGES <= -8.5] < 1e-17))
+        assert np.all(cdf[EDGES <= -38.6] == 0.0)
+        assert np.array_equal(act[EDGES >= 38.6], EDGES[EDGES >= 38.6])
+        assert np.all(act[EDGES <= -38.6] == 0.0)
+
+    def test_infinities_are_exact_and_nan_stays_nan(self):
+        with np.errstate(invalid="ignore"):  # GELU(+-inf) is inf * 0
+            _, cdf, w = gelu_kernel([np.inf, -np.inf, np.nan])
+        assert cdf[0] == 1.0 and cdf[1] == 0.0 and np.isnan(cdf[2])
+        assert w[0] == 0.0 and w[1] == 0.0 and np.isnan(w[2])
+
+    def test_leaves_the_gaussian_exponential_behind(self):
+        u = np.concatenate([np.linspace(-40.0, 40.0, 10_001), EDGES])
+        _, _, w = gelu_kernel(u)
+        # oracle: exp(-u^2 / 2) with math.exp, relative to its value
+        want = np.array([math.exp(-0.5 * v * v) if abs(v) < 1e100 else 0.0 for v in u])
+        assert np.all(np.abs(w - want) <= 2.0**-52 * want)
+
+    def test_bits_do_not_depend_on_chunking_or_on_asking_for_phi(self):
+        u = np.random.default_rng(3).normal(scale=4.0, size=3 * ad._CDF_CHUNK + 17)
+        whole = gelu_kernel(u)
+        for lo, hi in ((0, 5), (5, ad._CDF_CHUNK + 9), (ad._CDF_CHUNK + 9, u.size)):
+            for got, want in zip(gelu_kernel(u[lo:hi]), whole):
+                assert np.array_equal(got, want[lo:hi])
+        act, w = np.empty_like(u), np.empty_like(u)
+        ad._gelu_kernel(u, act, None, w)
+        assert np.array_equal(act, whole[0]) and np.array_equal(w, whole[2])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_gelu_of_a_non_finite_value_raises(self, value):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):  # +-inf * 0
+            ad.gelu(tensor([1.0, value]))
+
+    @pytest.mark.parametrize("value", [-8.0, -4.0, 4.0, 8.0])
+    def test_gelu_gradient_in_the_tails(self, value):
+        x = tensor([value], requires_grad=True)
+        assert ad.grad_check(lambda: ad.sum_all(ad.gelu(x)), [x]) < 1e-4
+        # oracle: Phi(x) + x * phi(x) with math.erfc and math.exp
+        exact = 0.5 * math.erfc(-value / math.sqrt(2.0))
+        exact += value * math.exp(-0.5 * value * value) / math.sqrt(2.0 * math.pi)
+        assert abs(x.grad[0] - exact) <= 2.0**-52
+
+
+# ---------------------------------------------------------------------------
 # backward
 
 

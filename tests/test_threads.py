@@ -126,14 +126,15 @@ def test_forked_child_predicts_after_the_parent_started_its_pool(monkeypatch):
             child.join()
 
 
-def train_in_subprocess(data, out, blas_threads):
+def child_env(**extra):
+    """This process's environment with this checkout's ``src`` on PYTHONPATH."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(
-        os.environ,
-        PYTHONPATH=src + os.pathsep + path if path else src,
-        OPENBLAS_NUM_THREADS=str(blas_threads),
-    )
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src, **extra)
+
+
+def train_in_subprocess(data, out, blas_threads):
+    env = child_env(OPENBLAS_NUM_THREADS=str(blas_threads))
     config = out.parent / f"run-{blas_threads}.json"
     config.write_text(json.dumps({"train_config": {"max_epochs": 1}}), encoding="utf-8")
     proc = subprocess.run(
@@ -158,3 +159,23 @@ def test_train_artifacts_do_not_depend_on_openblas_threads(tmp_path):
     one = train_in_subprocess(data, tmp_path / "one", 1)
     two = train_in_subprocess(data, tmp_path / "two", 2)
     assert one == two
+
+
+def test_the_cli_imports_no_scipy_and_pins_every_openblas():
+    # numpy's bundled OpenBLAS exports only scipy_openblas_set_num_threads64_,
+    # so _pin_blas must keep looking for that name
+    code = (
+        "import json, os, sys; import tabformer.cli; from tabformer import autodiff as ad; "
+        "maps = open('/proc/self/maps').read().lower(); "
+        "print(json.dumps({'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "'openblas': 'openblas' in maps, 'pinned': ad._pin_blas(), 'workers': ad._WORKERS, "
+        "'cpus': len(os.sched_getaffinity(0))}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["scipy"] == []
+    if seen["openblas"]:
+        assert seen["pinned"] is True
+        assert seen["workers"] == seen["cpus"]
