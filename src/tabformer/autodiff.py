@@ -5,7 +5,7 @@ Design rules:
 * double precision everywhere, row-major buffers;
 * no silent broadcasting: binary ops demand identical shapes, with the
   single exception that a size-1 tensor acts as a scalar. Dedicated ops
-  (add_bias, layer_norm, feature_embed) handle the broadcasts a
+  (add_bias, layer_norm, feature_tokens) handle the broadcasts a
   transformer actually needs, each with an exact backward rule;
 * ops act on the last one or two axes and carry any leading axes
   along. ``matmul`` takes an N-D left operand with a 2-D right one (a
@@ -92,8 +92,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 class Tensor:
     """A dense float64 array, optionally tracked for differentiation.
 
-    ``grad`` is lazily allocated (zeros) the first time a backward pass
-    reaches the tensor; ``zero_grad`` resets it.
+    ``grad`` is allocated (zeros) at construction when ``requires_grad``
+    is set, and is None otherwise; ``zero_grad`` resets it.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -560,21 +560,6 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator], training
     return _emit("dropout", data, (x,), vjp)
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    """Concatenate along one of the last two axes."""
-    if axis not in (-1, -2):
-        raise ShapeError(f"concat supports axis -1 or -2, got {axis}")
-    if not tensors:
-        raise ShapeError("concat needs at least one tensor")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def vjp(og):
-        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        return tuple(np.split(og, splits, axis=axis))
-
-    return _emit("concat", data, tuple(tensors), vjp)
-
-
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
     """[..., t, h*d_k] -> [h, ..., t, d_k]: head j is x[..., j*d_k:(j+1)*d_k].
 
@@ -627,22 +612,6 @@ def select_row(x: Tensor, index: int) -> Tensor:
     return _emit("select_row", data, (x,), vjp)
 
 
-def permute_rows(x: Tensor, perm: np.ndarray) -> Tensor:
-    """Reorder rows along axis -2 by ``perm`` (a permutation of 0..m-1)."""
-    perm = np.asarray(perm, dtype=np.intp)
-    m = x.data.shape[-2]
-    if perm.shape != (m,) or not np.array_equal(np.sort(perm), np.arange(m)):
-        raise ShapeError(f"permute_rows needs a permutation of 0..{m - 1}")
-    data = np.take(x.data, perm, axis=-2)
-
-    def vjp(og):
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(m)
-        return (np.take(og, inverse, axis=-2),)
-
-    return _emit("permute_rows", data, (x,), vjp)
-
-
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     if int(np.prod(shape)) != x.data.size:
         raise ShapeError(f"cannot reshape {x.shape} into {shape}")
@@ -673,57 +642,59 @@ def mean_all(x: Tensor) -> Tensor:
     return _emit("mean_all", data, (x,), vjp)
 
 
-def feature_embed(x: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
-    """Per-feature affine embedding: out[i, j, :] = x[i, j] * w[j, :] + b[j, :].
+def feature_tokens(x: np.ndarray, numeric_idx, categorical_idx, params: Sequence[Tensor]) -> Tensor:
+    """The feature tokenizer: raw rows x[n, f] -> tokens [n, f + 1, d].
 
-    ``x`` is raw data (n rows by f features) and is not differentiated;
-    w and b hold one d-vector per feature.
+    Token j is x[:, j] * w[k] + b[k] when j is the k-th numeric feature
+    and table_k[int(x[:, j])] when it is the k-th categorical one; token
+    f is ``cls``. ``params`` is w[f_num, d] and b[f_num, d] (only when
+    there are numeric features), one table[v, d] per categorical
+    feature, then cls[d]. ``x`` is raw data and is not differentiated.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or w.data.ndim != 2 or w.data.shape != b.data.shape:
+    num, cat = np.asarray(numeric_idx, np.intp), np.asarray(categorical_idx, np.intp)
+    params = tuple(params)
+    affine = params[:2] if num.size else ()
+    tables, cls = params[len(affine):-1], params[-1]
+    d = cls.data.shape[-1]
+    if (
+        x.ndim != 2
+        or len(tables) != cat.size
+        or not np.array_equal(np.sort(np.concatenate([num, cat])), np.arange(x.shape[1]))
+        or cls.data.shape != (d,)
+        or any(p.data.shape != (num.size, d) for p in affine)
+        or any(t.data.ndim != 2 or t.data.shape[1] != d for t in tables)
+    ):
         raise ShapeError(
-            f"feature_embed needs x[n, f], w[f, d], b[f, d]; got {x.shape}, {w.shape}, {b.shape}"
+            f"feature_tokens shapes disagree: x {x.shape}, {num.size} numeric and {cat.size} "
+            f"categorical features, parameters {[p.shape for p in params]}"
         )
-    if x.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"feature count mismatch: x has {x.shape[1]}, w has {w.data.shape[0]}")
-    data = x[:, :, None] * w.data[None, :, :] + b.data[None, :, :]
+    n, f = x.shape
+    codes = x[:, cat].astype(np.intp)
+    rows = np.array([t.data.shape[0] for t in tables], dtype=np.intp)
+    if codes.size and (codes.min() < 0 or (codes >= rows).any()):
+        raise ShapeError(f"embedding index out of range for tables with {rows.tolist()} rows")
+    data = np.empty((n, f + 1, d))
+    if num.size:
+        xn = x[:, num]
+        data[:, num] = xn[:, :, None] * affine[0].data + affine[1].data
+    for k, (j, table) in enumerate(zip(cat, tables)):
+        data[:, j] = table.data[codes[:, k]]
+    data[:, f] = cls.data
 
     def vjp(og):
-        gw = np.einsum("nf,nfd->fd", x, og)
-        gb = og.sum(axis=0)
-        return gw, gb
+        grads = []
+        if num.size:
+            og_num = og[:, num]
+            grads += [np.einsum("nf,nfd->fd", xn, og_num), og_num.sum(axis=0)]
+        for k, (j, table) in enumerate(zip(cat, tables)):
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, codes[:, k], og[:, j])
+            grads.append(gt)
+        grads.append(og[:, f].sum(axis=0))
+        return tuple(grads)
 
-    return _emit("feature_embed", data, (w, b), vjp)
-
-
-def embedding_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup out[i, :] = table[ids[i], :] with scatter-add backward."""
-    ids = np.asarray(ids)
-    if ids.ndim != 1 or table.data.ndim != 2:
-        raise ShapeError(f"embedding_rows needs table[v, d] and 1-D ids, got {table.shape} and {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise ShapeError(f"embedding index out of range for table with {table.data.shape[0]} rows")
-    ids = ids.astype(np.intp)
-    data = table.data[ids]
-
-    def vjp(og):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, og)
-        return (gt,)
-
-    return _emit("embedding_rows", data, (table,), vjp)
-
-
-def repeat_token(v: Tensor, count: int) -> Tensor:
-    """Tile a d-vector into a [count, 1, d] token stack (one per sample)."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"repeat_token needs a 1-D vector, got shape {v.shape}")
-    data = np.tile(v.data, (count, 1, 1))
-
-    def vjp(og):
-        return (og.sum(axis=(0, 1)),)
-
-    return _emit("repeat_token", data, (v,), vjp)
+    return _emit("feature_tokens", data, params, vjp)
 
 
 # ---------------------------------------------------------------------------

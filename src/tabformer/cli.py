@@ -33,7 +33,7 @@ from .data import (
     write_csv,
 )
 from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict
-from .evaluation import VAL_FRACTION, pr_points_to_csv, run_cv
+from .evaluation import METRIC_NAMES, VAL_FRACTION, pr_points_to_csv, run_cv
 from .importance import permutation_importance
 from .model import MODELS, build_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
@@ -180,7 +180,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
             fold.train_log.to_json() + "\n",
         )
     print(f"{cfg.model} {cfg.k_folds}-fold cross-validation on {cfg.data}")
-    for name in ("accuracy", "precision", "recall", "f1", "auprc"):
+    for name in METRIC_NAMES:
         print(f"  {name:<10s} {report.means[name]:.4f} ± {report.stds[name]:.4f}")
     print(f"reports in {cfg.out}")
     return 0

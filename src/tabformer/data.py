@@ -77,6 +77,8 @@ class FeatureSchema:
 
     def __post_init__(self):
         check_field_types(self)
+        if not self.columns:
+            raise DataError("schema has no feature columns")
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise DataError("duplicate column names in schema")

@@ -118,14 +118,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 class FeatureTokenizer:
     """Per-feature token embedding plus the learned classification token.
 
-    Tokens are built numeric-block-first, then reordered to schema
-    order, so mixed schemas keep feature index j at token row j. The
-    classification token is row n_features (last).
+    One ``autodiff.feature_tokens`` op writes feature j's token straight
+    into token row j, whatever the mix of kinds, and the classification
+    token into row n_features (last).
     """
 
     def __init__(self, schema: FeatureSchema, embed_dim: int, rng: np.random.Generator):
         self.schema = schema
-        self.embed_dim = embed_dim
         self.numeric_idx = schema.numeric_indices()
         self.categorical_idx = schema.categorical_indices()
         bound = 1.0 / math.sqrt(embed_dim)
@@ -156,27 +155,12 @@ class FeatureTokenizer:
         )
         self._params.append(self.cls)
 
-        order = np.concatenate([self.numeric_idx, self.categorical_idx]).astype(int)
-        self._perm = np.argsort(order) if order.size else order
-        self._identity_order = bool(np.array_equal(self._perm, np.arange(order.size)))
-
     def parameters(self) -> list:
         return list(self._params)
 
     def forward_batch(self, X: np.ndarray) -> Tensor:
         _check_rows(X, self.schema.n_features)
-        parts = []
-        if self.numeric_idx.size:
-            parts.append(ad.feature_embed(X[:, self.numeric_idx], self.numeric_w, self.numeric_b))
-        for table, j in zip(self.tables, self.categorical_idx):
-            codes = X[:, j].astype(np.int64)
-            tok = ad.embedding_rows(table, codes)
-            parts.append(ad.reshape(tok, (X.shape[0], 1, self.embed_dim)))
-        tokens = parts[0] if len(parts) == 1 else ad.concat(parts, axis=-2)
-        if not self._identity_order:
-            tokens = ad.permute_rows(tokens, self._perm)
-        cls_row = ad.repeat_token(self.cls, X.shape[0])
-        return ad.concat([tokens, cls_row], axis=-2)
+        return ad.feature_tokens(X, self.numeric_idx, self.categorical_idx, self._params)
 
 
 class TransformerBlock:

@@ -417,24 +417,53 @@ class TestGradCheck:
 
         assert ad.grad_check(f, [x]) < 1e-4
 
-    def test_embedding_and_feature_embed_grads(self):
+    @staticmethod
+    def _tokens_case(kinds):
+        """Raw rows, index arrays and tokenizer parameters for a schema
+        given as a string of 'n' (numeric) and 'c' (categorical, 3 codes
+        plus UNK); every table's UNK row is looked up at least once."""
         rng = np.random.default_rng(31)
-        x = rng.uniform(-2, 2, (5, 3))
-        w = tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-        b = tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-        table = tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
-        cls = tensor(rng.uniform(-1, 1, 4), requires_grad=True)
-        ids = np.array([0, 5, 2, 2, 1])
+        n, d = 5, 4
+        num = np.array([j for j, k in enumerate(kinds) if k == "n"], dtype=int)
+        cat = np.array([j for j, k in enumerate(kinds) if k == "c"], dtype=int)
+        x = rng.uniform(-2, 2, (n, len(kinds)))
+        x[:, cat] = rng.integers(0, 4, (n, cat.size))
+        x[0, cat] = 3  # the UNK row
+        params = []
+        if num.size:
+            params += [tensor(rng.uniform(-1, 1, (num.size, d)), requires_grad=True) for _ in range(2)]
+        params += [tensor(rng.uniform(-1, 1, (4, d)), requires_grad=True) for _ in cat]
+        params.append(tensor(rng.uniform(-1, 1, d), requires_grad=True))
+        return x, num, cat, params
 
-        def f():
-            toks = ad.feature_embed(x, w, b)               # (5,3,4)
-            emb = ad.reshape(ad.embedding_rows(table, ids), (5, 1, 4))
-            cls_tok = ad.repeat_token(cls, 5)
-            full = ad.concat([toks, emb, cls_tok], axis=-2)  # (5,5,4)
-            shuffled = ad.permute_rows(full, np.array([4, 0, 2, 1, 3]))
-            return ad.mean_all(ad.mul(shuffled, shuffled))
+    def test_embedding_and_feature_embed_grads(self):
+        # interleaved kinds with UNK codes, all numeric (no tables) and
+        # all categorical (no numeric_w / numeric_b)
+        for kinds in ("cnncnc", "nnn", "ccc"):
+            x, num, cat, params = self._tokens_case(kinds)
+            weight = tensor(np.random.default_rng(7).uniform(-1, 1, (5, len(kinds) + 1, 4)))
 
-        assert ad.grad_check(f, [w, b, table, cls]) < 1e-4
+            def f():
+                toks = ad.feature_tokens(x, num, cat, params)
+                return ad.mean_all(ad.mul(ad.mul(toks, toks), weight))
+
+            assert ad.grad_check(f, params) < 1e-4, kinds
+
+    @pytest.mark.parametrize("code", [-1.0, 4.0])
+    def test_feature_tokens_rejects_an_out_of_range_code(self, code):
+        x, num, cat, params = self._tokens_case("cnncnc")
+        x[2, cat[1]] = code
+        with pytest.raises(ShapeError, match="out of range"):
+            ad.feature_tokens(x, num, cat, params)
+
+    def test_feature_tokens_checks_shapes(self):
+        x, num, cat, params = self._tokens_case("cnncnc")
+        with pytest.raises(ShapeError):
+            ad.feature_tokens(x[0], num, cat, params)  # not 2-D
+        with pytest.raises(ShapeError):
+            ad.feature_tokens(x, num, cat, params[1:])  # a parameter short
+        with pytest.raises(ShapeError):
+            ad.feature_tokens(x[:, :-1], num, cat, params)  # a feature short
 
     def test_dropout_grad_with_reseeded_mask(self):
         x = tensor(np.linspace(-1.5, 1.5, 12).reshape(3, 4), requires_grad=True)
@@ -498,20 +527,18 @@ def _op_cases():
             lambda x: ad.dropout(x, 0.5, np.random.default_rng(0), training=True),
             [t(2, 3)],
         ),
-        "concat": (lambda a, b: ad.concat([a, b], axis=-2), [t(2, 1, 4), t(2, 3, 4)]),
         "split_heads": (lambda x: ad.split_heads(x, 2), [t(2, 3, 4)]),
         "merge_heads": (ad.merge_heads, [t(2, 2, 3, 2)]),
         "select_row": (lambda x: ad.select_row(x, -1), [t(2, 3, 4)]),
-        "permute_rows": (lambda x: ad.permute_rows(x, [2, 0, 1]), [t(2, 3, 4)]),
         "reshape": (lambda x: ad.reshape(x, (3, 2)), [t(2, 3)]),
         "sum_all": (ad.sum_all, [t(2, 3)]),
         "mean_all": (ad.mean_all, [t(2, 3)]),
-        "feature_embed": (
-            lambda w, b: ad.feature_embed(rng.uniform(size=(5, 3)), w, b),
-            [t(3, 4), t(3, 4)],
+        "feature_tokens": (
+            lambda w, b, table, cls: ad.feature_tokens(
+                np.array([[0.5, 2.0, -1.0], [1.5, 0.0, 0.25]]), [0, 2], [1], [w, b, table, cls]
+            ),
+            [t(2, 4), t(2, 4), t(3, 4), t(4)],
         ),
-        "embedding_rows": (lambda table: ad.embedding_rows(table, [2, 0, 2]), [t(3, 4)]),
-        "repeat_token": (lambda v: ad.repeat_token(v, 3), [t(4)]),
         "attention_sublayer": (
             lambda x, g, b, wq, wk, wv, wo: ad.attention_sublayer(
                 x, g, b, wq, wk, wv, wo, 2, rate=0.5, rng=np.random.default_rng(0)

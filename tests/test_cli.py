@@ -433,6 +433,21 @@ def test_file_that_is_not_utf8_exits_cleanly(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "cv"])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_table_with_no_feature_columns_exits_3(tmp_path, capsys, command, model):
+    path = tmp_path / "labels.csv"
+    path.write_text("label\n" + "1\n0\n" * 10, encoding="utf-8")
+    rc = main([
+        command, "--data", str(path), "--target", "label", "--model", model,
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "no feature columns" in err
+    assert "Traceback" not in err
+
+
 def test_importance_missing_checkpoint_setting_exits_2(data_path, tmp_path):
     rc = main([
         "importance", "--data", data_path, "--target", "label",
@@ -525,6 +540,16 @@ def test_manifest_missing_key_exits_3(trained_dir, data_path, tmp_path, capsys, 
     assert rc == 3
     err = capsys.readouterr().err
     assert key in err
+    assert "Traceback" not in err
+
+
+def test_manifest_with_no_feature_columns_exits_3(trained_dir, data_path, tmp_path, capsys):
+    rc = _importance_with_manifest(
+        trained_dir, data_path, tmp_path, lambda m: m["schema"].update(columns=[])
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "no feature columns" in err
     assert "Traceback" not in err
 
 

@@ -129,6 +129,20 @@ class TestTokenizer:
         with pytest.raises(ShapeError):
             model.tokenizer.forward_batch(np.zeros((1, 4)))
 
+    def test_training_tape_does_not_grow_with_categorical_columns(self):
+        def nodes(n_categorical):
+            cols = (ColumnSchema("a", NUMERIC), ColumnSchema("b", NUMERIC))
+            cols += tuple(
+                ColumnSchema(f"c{j}", CATEGORICAL, vocabulary=("u", "v")) for j in range(n_categorical)
+            )
+            model = Model(tiny_config(dropout=0.1, n_blocks=2), FeatureSchema(cols), seed=6)
+            X = np.zeros((4, len(cols)))
+            with ad.Tape() as tape:
+                model.forward_batch(X, training=True, rng=np.random.default_rng(0))
+            return len(tape.nodes)
+
+        assert nodes(1) == nodes(3)
+
 
 def attention_oracle(q, k, v):
     # independent scalar-loop evaluation, no vectorized shortcuts
