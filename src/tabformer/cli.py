@@ -15,25 +15,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
-
-import numpy as np
 
 from .data import (
     apply_standardizer,
-    fit_standardizer,
     generate_table,
     load_csv,
     load_generator_spec,
-    schema_with_stats,
     standardizer_from_schema,
-    stratified_holdout,
     stratified_k_fold,
     write_csv,
 )
 from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict
-from .evaluation import METRIC_NAMES, VAL_FRACTION, pr_points_to_csv, run_cv
+from .evaluation import METRIC_NAMES, holdout_split, pr_points_to_csv, run_cv
 from .importance import permutation_importance
 from .model import MODELS, build_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
@@ -80,21 +75,14 @@ def _load_config_file(path: Optional[str]) -> RunConfig:
     return RunConfig.from_dict(doc)
 
 
-_FLAG_FIELDS = (
-    "data", "target", "model", "k_folds", "threshold", "seed", "out",
-    "top_n", "repeats", "checkpoint", "fold",
-)
-
-
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    """Config file first, then explicit flags override."""
+    """Config file first, then explicit flags override: every option
+    named after a RunConfig field defaults to None, meaning "not given"."""
     cfg = _load_config_file(getattr(args, "config", None))
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
+    names = {f.name for f in fields(RunConfig)}
+    for name, value in vars(args).items():
+        if name in names and value is not None:
             setattr(cfg, name, value)
-    if getattr(args, "identity_check", False):
-        cfg.identity_check = True
     if cfg.model not in MODELS:
         raise ConfigError(f"unknown model kind {cfg.model!r}")
     if cfg.k_folds < 2:
@@ -189,25 +177,9 @@ def cmd_cv(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "data", "target")
-    dataset = _load_dataset(cfg)
-    val_mask = stratified_holdout(dataset.labels, VAL_FRACTION, cfg.seed)
-    fit_rows = dataset.rows[~val_mask]
-    stats = fit_standardizer(fit_rows, dataset.schema)
-    model = build_model(
-        cfg.model,
-        schema_with_stats(dataset.schema, stats),
-        seed=cfg.seed,
-        config=cfg.model_config,
-    )
-    log = train(
-        model,
-        (apply_standardizer(fit_rows, stats), dataset.labels[~val_mask].astype(float)),
-        (
-            apply_standardizer(dataset.rows[val_mask], stats),
-            dataset.labels[val_mask].astype(float),
-        ),
-        _train_config(cfg),
-    )
+    schema, fit, val = holdout_split(_load_dataset(cfg), cfg.seed)
+    model = build_model(cfg.model, schema, seed=cfg.seed, config=cfg.model_config)
+    log = train(model, fit, val, _train_config(cfg))
     _echo_config(cfg)
     save_checkpoint(model, os.path.join(cfg.out, "model"))
     _write_text(os.path.join(cfg.out, "trainlog.json"), log.to_json() + "\n")
@@ -293,13 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_imp = sub.add_parser("importance", help="permutation feature importance")
     add_common(p_imp)
     p_imp.add_argument("--checkpoint", help="checkpoint prefix from `train`")
-    p_imp.add_argument("--fold", type=int, help="held-out fold index (default 0)")
+    p_imp.add_argument("--fold", type=int, help="fold of the --k-folds deal to score (default 0), "
+                       "not held out of train's rows; --k-folds 8 --fold 0 at train's seed scores "
+                       "train's validation rows")
     p_imp.add_argument("--repeats", type=int, help="permutation repeats (default 5)")
     p_imp.add_argument("--top-n", dest="top_n", type=int, help="truncate the CSV")
     p_imp.add_argument(
         "--identity-check",
         dest="identity_check",
-        action="store_true",
+        action="store_const",
+        const=True,
         help="force identity permutations (all drops must be zero)",
     )
     p_imp.set_defaults(func=cmd_importance)

@@ -428,6 +428,8 @@ class GeneratorSpec:
 
     def __post_init__(self):
         check_field_types(self)
+        if not self.columns:
+            raise ConfigError("a generator spec needs at least one column")
         if len(self.weights) != len(self.columns):
             raise ConfigError(
                 f"{len(self.weights)} weights for {len(self.columns)} columns"

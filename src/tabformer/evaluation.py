@@ -6,9 +6,9 @@ precision + recall is 0. The PR curve sweeps distinct score values
 descending (tied scores enter as one group) behind a (0, 1) anchor, and
 AUPRC is the average-precision step sum, never trapezoids.
 
-run_cv keeps the test fold pristine: the early-stopping validation
-subset is carved out of the training portion only (12.5%, stratified),
-and standardization statistics come from the gradient-training rows.
+run_cv keeps the test fold pristine: holdout_split carves the
+early-stopping validation subset out of the training portion only (12.5%,
+stratified) and fits standardization statistics on the remaining rows.
 Per-fold RNG streams derive from seed + fold_index.
 """
 
@@ -26,6 +26,7 @@ from .data import (
     apply_standardizer,
     fit_standardizer,
     schema_with_stats,
+    standardizer_from_schema,
     stratified_holdout,
     stratified_k_fold,
 )
@@ -138,11 +139,7 @@ class FoldReport:
         return {
             "fold": self.fold,
             "threshold": self.threshold,
-            "accuracy": self.metrics.accuracy,
-            "precision": self.metrics.precision,
-            "recall": self.metrics.recall,
-            "f1": self.metrics.f1,
-            "auprc": self.auprc,
+            **{name: self.metric_value(name) for name in METRIC_NAMES},
             "counts": {
                 "tp": self.metrics.tp,
                 "fp": self.metrics.fp,
@@ -193,6 +190,25 @@ def _fingerprint(payload: dict) -> str:
     ).hexdigest()
 
 
+def holdout_split(dataset: Dataset, seed: int) -> tuple:
+    """The early-stopping split of ``train`` and of every cv fold.
+
+    Returns ``(schema, (X_fit, y_fit), (X_val, y_val))``: the validation
+    rows are a stratified ``VAL_FRACTION`` holdout seeded ``seed``, and
+    standardization statistics fitted on the other rows only are stamped
+    into the schema and applied to both sides. Labels are float64.
+    """
+    val_mask = stratified_holdout(dataset.labels, VAL_FRACTION, seed)
+    fit_rows = dataset.rows[~val_mask]
+    stats = fit_standardizer(fit_rows, dataset.schema)
+    fit = (apply_standardizer(fit_rows, stats), dataset.labels[~val_mask].astype(np.float64))
+    val = (
+        apply_standardizer(dataset.rows[val_mask], stats),
+        dataset.labels[val_mask].astype(np.float64),
+    )
+    return schema_with_stats(dataset.schema, stats), fit, val
+
+
 def run_cv(
     dataset: Dataset,
     model_factory: Callable,
@@ -203,34 +219,24 @@ def run_cv(
 ) -> CvReport:
     """Stratified k-fold protocol.
 
-    For fold f: the other k-1 folds are the training portion, a 12.5%
-    stratified validation subset is carved out of it for early stopping,
-    standardization statistics are fitted on the remaining training rows
-    and applied everywhere, the model trains with streams seeded
-    seed + f, and fold f is scored at ``threshold`` (strictly greater).
+    For fold f: ``holdout_split`` of the other k-1 folds, seeded
+    seed + f, gives the early-stopping validation rows and the
+    standardization statistics, which also standardize fold f. The model
+    trains with streams seeded seed + f, and fold f is scored at
+    ``threshold`` (strictly greater).
     """
     assignment = stratified_k_fold(dataset.labels, k, seed)
     folds = []
     sample_model = None
     for f in range(k):
-        test_idx = assignment.fold_indices(f)
-        pool_idx = assignment.other_indices(f)
-        pool = dataset.subset(pool_idx)
-        val_mask = stratified_holdout(pool.labels, VAL_FRACTION, seed + f)
-        fit_rows = pool.rows[~val_mask]
-        stats = fit_standardizer(fit_rows, dataset.schema)
-        X_fit = apply_standardizer(fit_rows, stats)
-        y_fit = pool.labels[~val_mask].astype(np.float64)
-        X_val = apply_standardizer(pool.rows[val_mask], stats)
-        y_val = pool.labels[val_mask].astype(np.float64)
-
-        model = model_factory(schema_with_stats(dataset.schema, stats), seed + f)
+        schema, fit, val = holdout_split(dataset.subset(assignment.other_indices(f)), seed + f)
+        model = model_factory(schema, seed + f)
         if sample_model is None:
             sample_model = model
-        fold_cfg = replace(train_config, seed=seed + f)
-        log = train(model, (X_fit, y_fit), (X_val, y_val), fold_cfg)
+        log = train(model, fit, val, replace(train_config, seed=seed + f))
 
-        X_test = apply_standardizer(dataset.rows[test_idx], stats)
+        test_idx = assignment.fold_indices(f)
+        X_test = apply_standardizer(dataset.rows[test_idx], standardizer_from_schema(schema))
         y_test = dataset.labels[test_idx]
         probs = model.predict_proba(X_test)
         preds = (probs > threshold).astype(np.int64)

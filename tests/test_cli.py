@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tabformer.cli import RunConfig, build_parser, main
+from tabformer.cli import RunConfig, _resolve, build_parser, main
 from tabformer.data import CATEGORICAL, NUMERIC, load_csv
 from tabformer.errors import ConfigError
 from tabformer.model import MODELS, load_checkpoint
@@ -91,6 +92,16 @@ def test_synth_invalid_spec_exits_2(tmp_path, capsys):
     rc = main(["synth", "--spec", str(bad), "--out", str(tmp_path / "x.csv"), "--n", "5"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_synth_spec_with_no_columns_exits_2_and_writes_nothing(tmp_path, capsys):
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps({"columns": [], "weights": []}), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--spec", str(spec), "--out", str(out), "--n", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_synth_output_is_loadable(data_path):
@@ -501,6 +512,45 @@ def test_unknown_model_kind_exits_2(data_path, tmp_path):
         "--out", str(tmp_path / "o"),
     ])
     assert rc == 2
+
+
+def _flag_and_values(action):
+    """(config-file value, argv giving another value, that value) for one option."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        return False, [flag], action.const
+    if action.choices:
+        a, b = sorted(action.choices)[:2]
+        return a, [flag, b], b
+    if action.type is float:
+        return 0.25, [flag, "0.75"], 0.75
+    if action.type is int:
+        return 2, [flag, "3"], 3
+    return "from-config", [flag, "from-flag"], "from-flag"
+
+
+@pytest.mark.parametrize("command", ["cv", "train", "importance"])
+def test_every_run_config_flag_overrides_the_config_file(command, tmp_path):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = {f.name for f in fields(RunConfig)}
+    options = [a for a in commands.choices[command]._actions if a.dest not in ("help", "config")]
+    assert {a.dest for a in options} <= names  # no flag that _resolve would drop
+    path = tmp_path / "run.json"
+    for action in options:
+        in_file, argv, from_flag = _flag_and_values(action)
+        path.write_text(json.dumps({action.dest: in_file}), encoding="utf-8")
+        given = _resolve(parser.parse_args([command, "--config", str(path), *argv]))
+        assert getattr(given, action.dest) == from_flag, action.dest
+        absent = _resolve(parser.parse_args([command, "--config", str(path)]))
+        assert getattr(absent, action.dest) == in_file, action.dest
+
+
+def test_identity_check_in_the_config_file_survives_without_the_flag(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"identity_check": True}), encoding="utf-8")
+    args = build_parser().parse_args(["importance", "--config", str(path)])
+    assert _resolve(args).identity_check is True
 
 
 def test_model_choices_are_the_registry():

@@ -4,27 +4,38 @@ import math
 import numpy as np
 import pytest
 
+from tabformer.cli import main
 from tabformer.data import (
+    CATEGORICAL,
+    NUMERIC,
+    ColumnSchema,
+    Dataset,
+    FeatureSchema,
     GeneratorColumn,
     GeneratorSpec,
     bayes_probabilities,
     generate_synthetic,
     generate_table,
+    load_csv,
+    stratified_k_fold,
+    write_csv,
 )
 from tabformer.errors import ConfigError, DataError, ShapeError
 from tabformer.evaluation import (
+    VAL_FRACTION,
     CvReport,
     FoldReport,
     MetricSet,
     aggregate_folds,
     auprc,
     confusion_metrics,
+    holdout_split,
     pr_curve,
     pr_points_to_csv,
     run_cv,
 )
-from tabformer.model import LogisticModel
-from tabformer.training import TrainConfig
+from tabformer.model import LogisticModel, build_model, load_checkpoint
+from tabformer.training import TrainConfig, train
 
 
 def brute_force_counts(pred, labels):
@@ -269,6 +280,9 @@ def separable_spec(weight=100.0, n_cols=2, seed=31):
     return GeneratorSpec(columns=cols, weights=weights, seed=seed)
 
 
+SMALL = {"embed_dim": 16, "n_heads": 4, "n_blocks": 2, "ffn_dim": 32, "dropout": 0.1}
+
+
 def logistic_factory(schema, seed):
     return LogisticModel(schema, seed=seed)
 
@@ -328,3 +342,84 @@ class TestRunCv:
         ds = generate_synthetic(spec, 30)
         with pytest.raises(DataError):
             run_cv(ds, logistic_factory, quick_config(), k=25, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# holdout_split
+
+
+def tagged_dataset(n=203, seed=4):
+    """Two numeric columns and a categorical ``row`` column holding each
+    row's own index. Standardization leaves categorical values as they
+    are, so ``row`` tells which dataset row an output row came from."""
+    rng = np.random.default_rng(seed)
+    schema = FeatureSchema((
+        ColumnSchema("a", NUMERIC),
+        ColumnSchema("b", NUMERIC),
+        ColumnSchema("row", CATEGORICAL, vocabulary=tuple(str(i) for i in range(n))),
+    ))
+    rows = np.column_stack([rng.normal(size=n), rng.normal(3.0, 2.0, size=n), np.arange(n)])
+    labels = (rng.random(n) < 0.3).astype(np.int64)
+    return Dataset(rows=rows, labels=labels, schema=schema)
+
+
+def row_ids(X):
+    return X[:, 2].astype(np.int64)
+
+
+class TestHoldoutSplit:
+    def test_fit_and_validation_rows_partition_the_dataset(self):
+        ds = tagged_dataset()
+        _, (X_fit, y_fit), (X_val, y_val) = holdout_split(ds, seed=3)
+        fit_ids, val_ids = row_ids(X_fit), row_ids(X_val)
+        assert not set(fit_ids) & set(val_ids)
+        assert np.array_equal(np.sort(np.concatenate([fit_ids, val_ids])), np.arange(ds.n_rows))
+        assert y_fit.dtype == y_val.dtype == np.float64
+        assert np.array_equal(y_fit, ds.labels[fit_ids])
+        assert np.array_equal(y_val, ds.labels[val_ids])
+
+    @pytest.mark.parametrize("seed", [0, 1, 9])
+    def test_validation_class_counts_are_proportional_within_one(self, seed):
+        ds = tagged_dataset(seed=seed)
+        _, _, (_, y_val) = holdout_split(ds, seed)
+        for cls in (0, 1):
+            share = (ds.labels == cls).sum() * VAL_FRACTION
+            assert abs((y_val == cls).sum() - share) <= 1
+
+    def test_validation_rows_are_fold_0_of_an_8_fold_deal(self):
+        # what `importance --k-folds 8 --fold 0` at train's seed scores
+        ds = tagged_dataset()
+        _, _, (X_val, _) = holdout_split(ds, seed=5)
+        deal = stratified_k_fold(ds.labels, int(round(1 / VAL_FRACTION)), 5)
+        assert np.array_equal(row_ids(X_val), deal.fold_indices(0))
+
+    def test_validation_values_do_not_reach_the_fit_rows_or_the_statistics(self):
+        ds = tagged_dataset()
+        schema, (X_fit, _), (X_val, _) = holdout_split(ds, seed=2)
+        rows = ds.rows.copy()
+        rows[row_ids(X_val)[0], :2] = (1e6, -1e6)
+        spoiled = holdout_split(Dataset(rows=rows, labels=ds.labels, schema=ds.schema), seed=2)
+        assert X_fit.tobytes() == spoiled[1][0].tobytes()
+        assert schema == spoiled[0]
+        assert schema.columns[0].mean is not None
+        assert X_val.tobytes() != spoiled[2][0].tobytes()
+
+    def test_train_command_fits_what_holdout_split_gives(self, tmp_path):
+        spec = separable_spec(weight=2.0, n_cols=3)
+        header, rows, _ = generate_table(spec, 240)
+        write_csv(header, rows, tmp_path / "t.csv")
+        config = {"model_config": SMALL, "train_config": {"max_epochs": 1, "batch_size": 64}}
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        rc = main([
+            "train", "--config", str(tmp_path / "run.json"), "--data", str(tmp_path / "t.csv"),
+            "--target", "label", "--seed", "6", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        saved = load_checkpoint(str(tmp_path / "out" / "model"))
+
+        schema, fit, val = holdout_split(load_csv(tmp_path / "t.csv", "label"), 6)
+        model = build_model("transformer", schema, seed=6, config=SMALL)
+        train(model, fit, val, TrainConfig(seed=6, max_epochs=1, batch_size=64))
+        assert saved.schema == model.schema
+        for a, b in zip(saved.parameters(), model.parameters(), strict=True):
+            assert a.data.tobytes() == b.data.tobytes()
