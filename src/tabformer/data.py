@@ -28,6 +28,7 @@ import csv
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from itertools import islice, repeat
 from typing import Optional, Sequence, Tuple
@@ -254,6 +255,8 @@ def load_csv(
             if header is None:
                 raise DataError(f"{path}: file is empty")
             header = [h.strip() for h in header]
+            if repeated := sorted(h for h, count in Counter(header).items() if count > 1):
+                raise DataError(f"{path}: repeated header names {repeated}")
             if target_column not in header:
                 raise DataError(f"{path}: target column {target_column!r} not in header")
             columns = [[] for _ in header]
@@ -430,6 +433,9 @@ class GeneratorSpec:
         check_field_types(self)
         if not self.columns:
             raise ConfigError("a generator spec needs at least one column")
+        names = [col.name for col in self.columns]
+        if len(set(names)) != len(names) or self.target in names:
+            raise ConfigError(f"column names {names} repeat or include the target {self.target!r}")
         if len(self.weights) != len(self.columns):
             raise ConfigError(
                 f"{len(self.weights)} weights for {len(self.columns)} columns"

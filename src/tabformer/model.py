@@ -454,7 +454,7 @@ def save_checkpoint(model, prefix) -> None:
 def load_checkpoint(prefix):
     """Rebuild the model ``save_checkpoint`` wrote. A ``.bin`` whose
     bytes do not hash to the manifest's ``bin_sha256``, when it records
-    one, is a DataError."""
+    one, or decode to a non-finite parameter, is a DataError."""
     prefix = str(prefix)
     try:
         with open(prefix + ".json", encoding="utf-8") as fh:
@@ -489,6 +489,8 @@ def load_checkpoint(prefix):
     if len(raw) != 8 * expect:
         raise DataError(f"checkpoint holds {len(raw)} parameter bytes, model needs {8 * expect}")
     flat = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise DataError(f"{prefix}.bin: a parameter is not finite")
     pos = 0
     for p in params:
         p.data[...] = flat[pos : pos + p.size].reshape(p.data.shape)

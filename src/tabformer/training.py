@@ -51,6 +51,8 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if self.eps_adam <= 0:  # AdamW divides 0 by eps for a parameter with no gradient yet
+            raise ConfigError(f"eps_adam must be positive, got {self.eps_adam}")
 
     def to_dict(self) -> dict:
         return asdict(self)

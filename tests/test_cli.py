@@ -4,6 +4,7 @@ and rerun determinism verified byte for byte."""
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import tempfile
@@ -104,6 +105,20 @@ def test_synth_spec_with_no_columns_exits_2_and_writes_nothing(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("names", [["x", "x"], ["x", "label"]], ids=["repeated", "target"])
+def test_synth_spec_with_a_clashing_column_name_exits_2_and_writes_nothing(tmp_path, capsys, names):
+    spec = tmp_path / "clash.json"
+    spec.write_text(json.dumps({
+        "columns": [{"name": name, "kind": "numeric"} for name in names],
+        "weights": [1.0, 0.0],
+    }), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--spec", str(spec), "--out", str(out), "--n", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_output_is_loadable(data_path):
     ds = load_csv(data_path, "label")
     assert ds.rows.shape == (160, 3)
@@ -129,6 +144,19 @@ def test_synth_missing_rate_fraction(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()[1:]
     empty = sum(1 for line in lines if line.split(",")[0] == "")
     assert abs(empty / 4000 - 0.2) < 0.02
+
+
+def test_repeated_header_name_exits_3(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("x,label,label\n" + "0.5,1,0\n-0.5,0,1\n" * 10, encoding="utf-8")
+    rc = main([
+        "train", "--data", str(path), "--target", "label", "--model", "logistic",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "repeated header names ['label']" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +443,23 @@ def test_checkpoint_with_a_flipped_byte_exits_3(trained_dir, data_path, tmp_path
     assert "Traceback" not in err
 
 
+def test_checkpoint_with_a_nan_parameter_exits_3(trained_dir, data_path, tmp_path, capsys):
+    raw = bytearray((trained_dir / "model.bin").read_bytes())
+    raw[:8] = np.array([np.nan], dtype="<f8").tobytes()
+    manifest = json.loads((trained_dir / "model.json").read_text(encoding="utf-8"))
+    manifest["bin_sha256"] = hashlib.sha256(raw).hexdigest()
+    (tmp_path / "model.json").write_text(json.dumps(manifest), encoding="utf-8")
+    (tmp_path / "model.bin").write_bytes(bytes(raw))
+    rc = main([
+        "importance", "--data", data_path, "--target", "label",
+        "--checkpoint", str(tmp_path / "model"), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "not finite" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "reader, code", [("config", 2), ("spec", 2), ("data", 3), ("manifest", 3)]
 )
@@ -612,6 +657,19 @@ def test_manifest_unknown_config_key_exits_3(trained_dir, data_path, tmp_path, c
     assert rc == 3
     err = capsys.readouterr().err
     assert "embed_size" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_nonpositive_eps_adam_exits_2(data_path, tmp_path, capsys, command):
+    cfg = run_config_file(tmp_path, train_config={"max_epochs": 1, "eps_adam": 0})
+    rc = main([
+        command, "--config", cfg, "--data", data_path, "--target", "label",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "eps_adam must be positive" in err
     assert "Traceback" not in err
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,37 @@ def test_last_only_block_is_bitwise_equal_for_one_and_two_workers(training, monk
     serial = outputs()
     monkeypatch.setattr(ad, "_WORKERS", 2)
     for a, b in zip(serial, outputs()):
+        assert np.array_equal(a, b)
+
+
+class TileError(Exception):
+    pass
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("kind", ["attention", "ffn"])
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_a_tile_that_raises_fails_the_op_and_the_next_call_is_exact(kind, raiser, monkeypatch):
+    monkeypatch.setattr(ad, "_WORKERS", 1)
+    serial = forward_and_gradients(kind, 0.1)
+    monkeypatch.setattr(ad, "_WORKERS", 2)
+    caller, ln_rows = threading.get_ident(), ad._ln_rows
+
+    def failing(*args):
+        if (threading.get_ident() == caller) == (raiser == "caller"):
+            raise TileError(raiser)
+        time.sleep(0.01)  # the other thread is sure to claim a tile meanwhile
+        ln_rows(*args)
+
+    blk = TransformerBlock(CFG, np.random.default_rng(0), index=0)
+    x0 = np.random.default_rng(1).normal(size=(600, 10, CFG.embed_dim))
+    monkeypatch.setattr(ad, "_ln_rows", failing)
+    with pytest.raises(TileError, match=raiser):
+        FUSED[kind](blk, Tensor(x0), 0.0, None)
+    with pytest.raises(TileError, match=raiser), Tape():
+        FUSED[kind](blk, Tensor(x0, requires_grad=True), 0.1, np.random.default_rng(3))
+    monkeypatch.setattr(ad, "_ln_rows", ln_rows)
+    for a, b in zip(serial, forward_and_gradients(kind, 0.1)):
         assert np.array_equal(a, b)
 
 
