@@ -43,7 +43,14 @@ vjp's input-gradient GEMMs. Oracle rule: the primitive ops stay,
 and a fused op must equal its composite of primitives bit for bit in
 the forward pass, draw its dropout masks by the same ``rng.random``
 calls in the same order, and match the composite's gradients (the
-tests allow 1e-12).
+tests allow 1e-12). Op and tile call one private kernel per rule:
+``_softmax`` and ``_softmax_grad``; ``_ln_check``, ``_ln_rows`` and
+``_ln_grad``; ``_dropped`` for every dropout mask; ``_heads`` for the
+head split; ``_gelu_kernel`` and ``_gelu_grad``. So that comparison
+checks tiling, layouts, GEMM order and rng use, not the formulas,
+which keep their own checks: softmax and layer norm against direct
+evaluation, scalar attention (acceptance criterion 02), ``grad_check``
+of every op, and dropout's scale.
 
 Last-token rule. ``attention_sublayer(..., last_only=True)`` returns
 the last token's row only, [..., 1, d]: every token is normalised and
@@ -382,16 +389,25 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _emit("add_bias", data, (x, b), vjp)
 
 
+def _softmax(x: np.ndarray, out: np.ndarray):
+    """out = softmax of x over its last axis, max-subtracted; ``out`` may be ``x``."""
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(s: np.ndarray, og: np.ndarray) -> np.ndarray:
+    """The gradient of softmax's input, from its output ``s``."""
+    return s * (og - (og * s).sum(axis=-1, keepdims=True))
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, max-subtracted for stability."""
-    x = a.data
-    s = x - x.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s = np.empty_like(a.data)
+    _softmax(a.data, s)
 
     def vjp(og):
-        dot = (og * s).sum(axis=-1, keepdims=True)
-        return (s * (og - dot),)
+        return (_softmax_grad(s, og),)
 
     return _emit("softmax_rows", s, (a,), vjp)
 
@@ -512,39 +528,61 @@ def sigmoid(a: Tensor) -> Tensor:
     return _emit("sigmoid", s, (a,), vjp)
 
 
+def _ln_check(op: str, d: int, gain: Tensor, bias: Tensor, eps: float):
+    """Reject a layer-norm eps <= 0, and a gain or bias not shaped (d,)."""
+    if eps <= 0:
+        raise ConfigError(f"{op} needs a positive layer-norm eps, got {eps}")
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeError(
+            f"{op} layer-norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
+        )
+
+
+def _ln_rows(x, gain, bias, eps, xhat, inv, out):
+    """Layer norm of x over its last axis, written into ``xhat`` (the
+    normalised x), ``inv`` (1 / std, one per row) and ``out``."""
+    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
+    var = (xhat ** 2).mean(axis=-1, keepdims=True)
+    np.divide(1.0, np.sqrt(var + eps), out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
+
+
+def _ln_grad(og, gain, xhat, inv, out):
+    """out = the gradient of layer norm's input, from ``_ln_rows``'s
+    ``xhat`` and ``inv``."""
+    dxhat = og * gain
+    dot = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dxhat -= dxhat.mean(axis=-1, keepdims=True)
+    dxhat -= xhat * dot
+    np.multiply(inv, dxhat, out=out)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Population variance with eps inside the square root, so a constant
     row maps to gain*0 + bias rather than dividing by zero.
     """
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
-    n = x.data.shape[-1]
-    if gain.data.shape != (n,) or bias.data.shape != (n,):
-        raise ShapeError(
-            f"layer_norm gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
-        )
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (xhat ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    data = xhat * gain.data
-    data += bias.data
+    shape = x.data.shape
+    _ln_check("layer_norm", shape[-1], gain, bias, eps)
+    xhat, inv, data = np.empty(shape), np.empty(shape[:-1] + (1,)), np.empty(shape)
+    _ln_rows(x.data, gain.data, bias.data, eps, xhat, inv, data)
 
     def vjp(og):
         lead = tuple(range(og.ndim - 1))
-        dxhat = og * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        dgain = (og * xhat).sum(axis=lead)
-        dbias = og.sum(axis=lead)
-        return dx, dgain, dbias
+        dx = np.empty(shape)
+        _ln_grad(og, gain.data, xhat, inv, dx)
+        return dx, (og * xhat).sum(axis=lead), og.sum(axis=lead)
 
     return _emit("layer_norm", data, (x, gain, bias), vjp)
+
+
+def _dropped(a: np.ndarray, keep: Optional[np.ndarray], scale: float) -> np.ndarray:
+    """``a`` itself when ``keep`` is None, else a * keep * scale: a dropped
+    element becomes a zero of a's sign."""
+    return a if keep is None else a * keep * scale
 
 
 def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator], training: bool) -> Tensor:
@@ -555,13 +593,18 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator], training
         return x
     if rng is None:
         raise ConfigError("training-mode dropout requires an explicit rng")
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    data = x.data * mask
+    keep, scale = rng.random(x.data.shape) >= rate, 1.0 / (1.0 - rate)
+    data = _dropped(x.data, keep, scale)
 
     def vjp(og):
-        return (og * mask,)
+        return (_dropped(og, keep, scale),)
 
     return _emit("dropout", data, (x,), vjp)
+
+
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """[..., t, h*d_k] -> [h, ..., t, d_k], a view when ``a`` is contiguous."""
+    return np.moveaxis(a.reshape(a.shape[:-1] + (n_heads, a.shape[-1] // n_heads)), -2, 0)
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -570,11 +613,10 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
     For a contiguous x, such as a matmul output, the result is a numpy
     view (no copy). merge_heads inverts it.
     """
-    *lead, t, width = x.data.shape
-    if n_heads < 1 or width % n_heads:
-        raise ShapeError(f"split_heads cannot cut width {width} into {n_heads} heads")
-    d_k = width // n_heads
-    data = np.moveaxis(x.data.reshape(*lead, t, n_heads, d_k), -2, 0)
+    width = x.data.shape[-1]
+    if x.data.ndim < 2 or n_heads < 1 or width % n_heads:
+        raise ShapeError(f"split_heads cannot cut shape {x.shape} into {n_heads} heads")
+    data = _heads(x.data, n_heads)
 
     def vjp(og):
         return (np.moveaxis(og, 0, -2).reshape(x.data.shape),)
@@ -594,7 +636,7 @@ def merge_heads(x: Tensor) -> Tensor:
     data = np.moveaxis(x.data, 0, -2).reshape(*lead, t, h * d_k)
 
     def vjp(og):
-        return (np.moveaxis(og.reshape(*lead, t, h, d_k), -2, 0),)
+        return (_heads(og, h),)
 
     return _emit("merge_heads", data, (x,), vjp)
 
@@ -806,7 +848,7 @@ def _each_tile(n: int, rows: int, body, make=None):
 # ---------------------------------------------------------------------------
 # Fused transformer sublayers (the rules are in the module docstring)
 #
-# Each runs its composite's numpy calls on the same values, one tile of
+# Each runs its primitives' kernels on the same values, one tile of
 # rows at a time. The forward GEMMs (x @ W) run per tile: OpenBLAS gives
 # every row the same bits at any row count for the widths the tests
 # cover (multiples of 8). The vjp's input-gradient GEMMs (og @ W^T) run
@@ -825,56 +867,16 @@ def _tile_rows(width: int) -> int:
     return max(1, _TILE_ELEMENTS // width)
 
 
-def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
-    """[n, t, h*d_k] -> [h, n, t, d_k] as a view, the layout of ``split_heads``."""
-    n, t, width = a.shape
-    return np.moveaxis(a.reshape(n, t, n_heads, width // n_heads), -2, 0)
-
-
 def _sublayer_input(op, x, ln_g, ln_b, eps, rate, rng):
     """Check what both sublayers take; return x as [n, t, d]."""
     if x.data.ndim < 2:
         raise ShapeError(f"{op} needs x[..., t, d], got shape {x.shape}")
-    d = x.data.shape[-1]
-    if ln_g.data.shape != (d,) or ln_b.data.shape != (d,):
-        raise ShapeError(
-            f"{op} layer-norm gain/bias must have shape ({d},), got {ln_g.shape} and {ln_b.shape}"
-        )
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
+    _ln_check(op, x.data.shape[-1], ln_g, ln_b, eps)
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rate > 0.0 and rng is None:
         raise ConfigError("training-mode dropout requires an explicit rng")
     return x.data.reshape((-1,) + x.data.shape[-2:])
-
-
-def _ln_rows(x, gain, bias, eps, xhat, inv, out):
-    """``layer_norm``'s forward on a tile, written into ``xhat``, ``inv`` and ``out``."""
-    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
-    var = (xhat ** 2).mean(axis=-1, keepdims=True)
-    np.divide(1.0, np.sqrt(var + eps), out=inv)
-    xhat *= inv
-    np.multiply(xhat, gain, out=out)
-    out += bias
-
-
-def _residual_out(o, keep, scale, x, out):
-    """out = x + dropout(o): ``o`` is scaled in place, ``keep`` is None
-    without dropout."""
-    if keep is not None:
-        o *= keep
-        o *= scale
-    np.add(x, o, out=out)
-
-
-def _dropped_grad(og2, keep, scale):
-    """The gradient of dropout's input: ``og2`` itself without dropout."""
-    if keep is None:
-        return og2
-    g = og2 * keep.reshape(og2.shape)
-    g *= scale
-    return g
 
 
 def _ln_residual_vjp(og, g_ln, gain, xhat, inv, rows, shape):
@@ -889,14 +891,7 @@ def _ln_residual_vjp(og, g_ln, gain, xhat, inv, rows, shape):
     kept = slice(g_ln.shape[1] - og.shape[1], None)
 
     def tile(lo, hi, _):
-        dxhat = g_ln[lo:hi] * gain
-        np.multiply(
-            inv[lo:hi],
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat[lo:hi] * (dxhat * xhat[lo:hi]).mean(axis=-1, keepdims=True),
-            out=gx[lo:hi],
-        )
+        _ln_grad(g_ln[lo:hi], gain, xhat[lo:hi], inv[lo:hi], gx[lo:hi])
         gx[lo:hi, kept] += og[lo:hi]
 
     _each_tile(g_ln.shape[0], rows, tile)
@@ -950,32 +945,28 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
         sc = np.swapaxes(s, 0, 1)  # head-major, as the composite lays its scores out
         np.matmul(_heads(q, h), np.swapaxes(_heads(k, h), -1, -2), out=sc)
         sc *= score_scale
-        sc -= sc.max(axis=-1, keepdims=True)
-        np.exp(sc, out=sc)
-        sc /= sc.sum(axis=-1, keepdims=True)
-        p = sc if keep_p is None else sc * keep_p[:, lo:hi] * scale
+        _softmax(sc, sc)
+        p = _dropped(sc, None if keep_p is None else keep_p[:, lo:hi], scale)
         np.matmul(p, _heads(v, h), out=_heads(ctx, h))
         o = (ctx.reshape(-1, d) @ w_o.data).reshape(hi - lo, tq, d)
-        _residual_out(o, None if keep_o is None else keep_o[lo:hi], scale, xs[lo:hi, qs], out[lo:hi])
+        o = _dropped(o, None if keep_o is None else keep_o[lo:hi], scale)
+        np.add(xs[lo:hi, qs], o, out=out[lo:hi])
 
     saved = _each_tile(n, rows, tile, make)
 
     def vjp(og):
         xhat, hn, k, v, inv, q, ctx, s = saved
-        g_o = _dropped_grad(og.reshape(-1, d), keep_o, scale)
+        g_o = _dropped(og.reshape(n, tq, d), keep_o, scale).reshape(-1, d)
         g_w_o = _spawn(lambda: ctx.reshape(-1, d).T @ g_o)
         g_ctx = (g_o @ w_o.data.T).reshape(n, tq, d)
         g_q, g_v, g_kt = np.empty((n, tq, d)), np.empty((n, t, d)), np.empty((h, n, d // h, t))
 
         def tile(lo, hi, _):
             sc, gc = np.swapaxes(s[lo:hi], 0, 1), _heads(g_ctx[lo:hi], h)
-            p = sc if keep_p is None else sc * keep_p[:, lo:hi] * scale
-            np.matmul(np.swapaxes(p, -1, -2), gc, out=_heads(g_v[lo:hi], h))
-            g_p = gc @ np.swapaxes(_heads(v[lo:hi], h), -1, -2)
-            if keep_p is not None:
-                g_p *= keep_p[:, lo:hi]
-                g_p *= scale
-            g_sc = sc * (g_p - (g_p * sc).sum(axis=-1, keepdims=True))
+            keep = None if keep_p is None else keep_p[:, lo:hi]
+            np.matmul(np.swapaxes(_dropped(sc, keep, scale), -1, -2), gc, out=_heads(g_v[lo:hi], h))
+            g_p = _dropped(gc @ np.swapaxes(_heads(v[lo:hi], h), -1, -2), keep, scale)
+            g_sc = _softmax_grad(sc, g_p)
             g_sc *= score_scale
             np.matmul(g_sc, _heads(k[lo:hi], h), out=_heads(g_q[lo:hi], h))
             np.matmul(np.swapaxes(_heads(q[lo:hi], h), -1, -2), g_sc, out=g_kt[:, lo:hi])
@@ -1045,14 +1036,15 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
         _gelu_kernel(pre, act, cdf[0] if cdf else None, gauss)
         o = (act.reshape(-1, f) @ w2.data).reshape(hi - lo, t, d)
         o += b2.data
-        _residual_out(o, None if keep_o is None else keep_o[lo:hi], scale, xs[lo:hi], out[lo:hi])
+        o = _dropped(o, None if keep_o is None else keep_o[lo:hi], scale)
+        np.add(xs[lo:hi], o, out=out[lo:hi])
 
     saved = _each_tile(n, rows, tile, make)
 
     def vjp(og):
         xhat, hn, inv, pre, gauss, act, cdf = saved
         lead = tuple(range(x.data.ndim - 1))
-        g_o = _dropped_grad(og.reshape(-1, d), keep_o, scale)
+        g_o = _dropped(og.reshape(n, t, d), keep_o, scale).reshape(-1, d)
         g_w2 = _spawn(lambda: act.reshape(-1, f).T @ g_o)
         g_b2 = _spawn(lambda: g_o.reshape(x.shape).sum(axis=lead))
         g_act = (g_o @ w2.data.T).reshape(n, t, f)

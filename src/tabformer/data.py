@@ -389,6 +389,13 @@ def stratified_holdout(labels: np.ndarray, fraction: float, seed: int) -> np.nda
     if not 0.0 < fraction < 0.5:
         raise ConfigError(f"holdout fraction must be in (0, 0.5), got {fraction}")
     parts = int(round(1.0 / fraction))
+    for cls in (0, 1):
+        members = int(np.count_nonzero(np.asarray(labels) == cls))
+        if members < parts:
+            raise DataError(
+                f"the early-stopping validation holdout ({fraction:.1%} of the rows) needs at "
+                f"least {parts} rows of each class; class {cls} has {members}"
+            )
     assignment = stratified_k_fold(labels, parts, seed)
     return assignment.assignment == 0
 

@@ -155,6 +155,24 @@ class TestElementwise:
         out = ad.layer_norm(x, tensor(np.ones(4)), tensor(np.zeros(4)), eps=1e-5)
         assert np.array_equal(out.data, np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("d", [4, 16, 64])
+    def test_layer_norm_against_direct_evaluation(self, d):
+        # oracle: fsum means, the population variance and eps inside the
+        # square root, in plain Python; rows with std near 1e-2 make eps
+        # (1e-5) a tenth of the variance
+        rng = np.random.default_rng(d)
+        scales = np.array([1.0, 3.0, 0.5, 1e-2, 1e-2, 1.5e-2])
+        x = rng.normal(size=(6, d)) * scales[:, None] + rng.uniform(-1, 1, (6, 1))
+        gain, bias = rng.normal(size=d), rng.normal(size=d)
+        expected = []
+        for row in x.tolist():
+            mean = math.fsum(row) / d
+            var = math.fsum((v - mean) ** 2 for v in row) / d
+            inv = 1.0 / math.sqrt(var + 1e-5)
+            expected.append([(v - mean) * inv * g + b for v, g, b in zip(row, gain, bias)])
+        out = ad.layer_norm(tensor(x.reshape(2, 3, d)), tensor(gain), tensor(bias), eps=1e-5)
+        assert np.allclose(out.data.reshape(6, d), expected, rtol=0, atol=1e-12)
+
     def test_layer_norm_bad_eps(self):
         x = tensor([[1.0, 2.0]])
         with pytest.raises(ConfigError):

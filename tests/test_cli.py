@@ -243,6 +243,27 @@ def test_cv_k_exceeding_class_count_exits_3(data_path, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "argv, positives", [(["train"], 6), (["cv", "--k-folds", "2"], 12)], ids=["train", "cv"]
+)
+def test_too_few_rows_of_a_class_for_the_validation_holdout_exits_3(tmp_path, capsys, argv, positives):
+    """``train``'s table and each of ``cv``'s two training pools hold 6
+    positives, too few for the 1-in-8 early-stopping holdout; the
+    message names that holdout, not a k-fold deal."""
+    path = tmp_path / "table.csv"
+    x = np.random.default_rng(0).normal(size=60)
+    labels = [1] * positives + [0] * (60 - positives)
+    path.write_text("x0,label\n" + "".join(f"{v!r},{y}\n" for v, y in zip(x, labels)))
+    rc = main([
+        *argv, "--data", str(path), "--target", "label", "--model", "logistic",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "early-stopping validation holdout" in err and "class 1 has 6" in err
+    assert "k=8" not in err and "Traceback" not in err
+
+
 def test_cv_k_below_two_exits_2(data_path, tmp_path):
     rc = main([
         "cv", "--data", data_path, "--target", "label", "--model", "logistic",

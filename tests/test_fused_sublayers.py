@@ -171,6 +171,10 @@ def test_bad_arguments_are_rejected():
         fused_attention(blk, Tensor(inputs((2, 3, 8))), 0.0, None)
     with pytest.raises(ShapeError):
         ad.attention_sublayer(x, blk.ln1_g, blk.ln1_b, blk.w_q, blk.w_k, blk.w_v, blk.w_o, 3)
+    with pytest.raises(ConfigError):
+        ad.attention_sublayer(x, blk.ln1_g, blk.ln1_b, blk.w_q, blk.w_k, blk.w_v, blk.w_o, 4, eps=0.0)
+    with pytest.raises(ConfigError):
+        ad.ffn_sublayer(x, blk.ln2_g, blk.ln2_b, blk.ffn_w1, blk.ffn_b1, blk.ffn_w2, blk.ffn_b2, eps=0.0)
 
 
 def test_default_training_step_records_at_most_20_nodes():
