@@ -585,14 +585,19 @@ def _dropped(a: np.ndarray, keep: Optional[np.ndarray], scale: float) -> np.ndar
     return a if keep is None else a * keep * scale
 
 
-def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator], training: bool) -> Tensor:
-    """Inverted dropout: identity in eval mode, survivors scaled by 1/(1-rate)."""
+def _dropout_check(rate: float, rng, training: bool) -> bool:
+    """Check dropout's arguments; return whether a mask is drawn."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
+    if training and rate > 0.0 and rng is None:
         raise ConfigError("training-mode dropout requires an explicit rng")
+    return training and rate > 0.0
+
+
+def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator], training: bool) -> Tensor:
+    """Inverted dropout: identity in eval mode, survivors scaled by 1/(1-rate)."""
+    if not _dropout_check(rate, rng, training):
+        return x
     keep, scale = rng.random(x.data.shape) >= rate, 1.0 / (1.0 - rate)
     data = _dropped(x.data, keep, scale)
 
@@ -872,10 +877,7 @@ def _sublayer_input(op, x, ln_g, ln_b, eps, rate, rng):
     if x.data.ndim < 2:
         raise ShapeError(f"{op} needs x[..., t, d], got shape {x.shape}")
     _ln_check(op, x.data.shape[-1], ln_g, ln_b, eps)
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate > 0.0 and rng is None:
-        raise ConfigError("training-mode dropout requires an explicit rng")
+    _dropout_check(rate, rng, training=True)  # a rate of 0 stands for eval mode
     return x.data.reshape((-1,) + x.data.shape[-2:])
 
 

@@ -27,7 +27,7 @@ from .data import (
     stratified_k_fold,
     write_csv,
 )
-from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict, read_json
 from .evaluation import METRIC_NAMES, holdout_split, pr_points_to_csv, run_cv
 from .importance import permutation_importance
 from .model import MODELS, build_model, load_checkpoint, save_checkpoint
@@ -65,14 +65,7 @@ class RunConfig:
 def _load_config_file(path: Optional[str]) -> RunConfig:
     if path is None:
         return RunConfig()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return RunConfig.from_dict(doc)
+    return RunConfig.from_dict(read_json(path, "config"))
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:

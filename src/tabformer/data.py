@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .autodiff import Tensor, sigmoid
-from .errors import ConfigError, DataError, check_field_types, from_dict
+from .errors import ConfigError, DataError, check_field_types, from_dict, read_json
 from .seeding import stream_rng
 
 NUMERIC = "numeric"
@@ -479,14 +479,7 @@ class GeneratorSpec:
 
 
 def load_generator_spec(path) -> GeneratorSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"spec file not found: {path}") from None
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return GeneratorSpec.from_dict(doc)
+    return GeneratorSpec.from_dict(read_json(path, "spec"))
 
 
 def _draw_values(spec: GeneratorSpec, n: int, seed: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one JSON reader
+"""Exception types shared across the package, the file reader behind
+config and generator spec files (``read_json``), and the one JSON reader
 and type check behind every config, generator spec and checkpoint schema.
 
 One rule for all of them: an unknown key, a missing required field or a
@@ -12,6 +13,7 @@ raise one of them rather than a bare ValueError.
 """
 
 import dataclasses
+import json
 import math
 import numbers
 import typing
@@ -31,6 +33,18 @@ class ShapeError(ValueError):
 
 class NumericError(ArithmeticError):
     """A non-finite value (NaN/Inf) appeared where finite math was promised."""
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``. A missing file (called
+    a ``what`` file) or text that is not JSON is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def from_dict(cls, doc):

@@ -2,17 +2,19 @@
 
 Every model kind shares one interface (``ScoringModel``): a row-width
 check, ``forward_batch``, ``forward(row)`` and a chunked
-``predict_proba``. Logistic regression is the MLP with no hidden layer.
-``MODELS`` maps each kind name to its factory; building, checkpoint
-loading and the CLI's choices all go through it.
+``predict_proba``. One dense stack, built by ``_dense_stack`` and run by
+``_dense``, is the MLP, logistic regression (no hidden layer) and the
+transformer's head. ``MODELS`` maps each kind name to its factory;
+building, checkpoint loading and the CLI's choices all go through it.
 
 Architecture: each feature becomes one d-dimensional token (numeric:
 x_j * W_j + b_j; categorical: embedding lookup with a reserved UNK row),
 a learned classification token is appended LAST, the sequence passes
 through pre-norm residual blocks (x + MHSA(LN(x)), then x + FFN(LN(x))
 with GELU), and the head reads the classification token through a layer
-norm and an affine map to a single logit. No positional encodings, so
-the forward pass is equivariant under feature permutation.
+norm and the dense stack to a single logit: one affine map, or two with
+a GELU between them when ``head_hidden`` is set. No positional
+encodings, so the forward pass is equivariant under feature permutation.
 """
 
 from __future__ import annotations
@@ -85,6 +87,24 @@ def _matrix(rng, name, n_in, n_out) -> Parameter:
 
 def _bias(name, n) -> Parameter:
     return Parameter(np.zeros(n), name=name, decay=False)
+
+
+def _dense_stack(rng, prefix: str, dims) -> list:
+    """[(weight, bias), ...] mapping dims[0] -> ... -> dims[-1], drawn
+    from ``rng`` in layer order."""
+    return [
+        (_matrix(rng, f"{prefix}.w{i}", n_in, n_out), _bias(f"{prefix}.b{i}", n_out))
+        for i, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:]))
+    ]
+
+
+def _dense(h: Tensor, layers) -> Tensor:
+    """Affine layers with a GELU between each two and none after the last."""
+    for i, (w, b) in enumerate(layers):
+        if i:
+            h = ad.gelu(h)
+        h = ad.add_bias(ad.matmul(h, w), b)
+    return h
 
 
 def _check_rows(X: np.ndarray, n_features: int) -> None:
@@ -289,32 +309,20 @@ class Model(ScoringModel):
         d = config.embed_dim
         self.head_ln_g = Parameter(np.ones(d), name="head.ln_g", decay=False)
         self.head_ln_b = _bias("head.ln_b", d)
-        if config.head_hidden is None:
-            self.head_w1 = _matrix(rng, "head.w1", d, 1)
-            self.head_b1 = _bias("head.b1", 1)
-            self.head_w2 = None
-            self.head_b2 = None
-        else:
-            self.head_w1 = _matrix(rng, "head.w1", d, config.head_hidden)
-            self.head_b1 = _bias("head.b1", config.head_hidden)
-            self.head_w2 = _matrix(rng, "head.w2", config.head_hidden, 1)
-            self.head_b2 = _bias("head.b2", 1)
+        hidden = () if config.head_hidden is None else (config.head_hidden,)
+        self.head = _dense_stack(rng, "head", [d, *hidden, 1])
 
     def parameters(self) -> list:
         params = self.tokenizer.parameters()
         for blk in self.blocks:
             params += blk.parameters()
-        params += [self.head_ln_g, self.head_ln_b, self.head_w1, self.head_b1]
-        if self.head_w2 is not None:
-            params += [self.head_w2, self.head_b2]
-        return params
+        params += [self.head_ln_g, self.head_ln_b]
+        return params + [p for layer in self.head for p in layer]
 
     def config_dict(self) -> dict:
         return self.config.to_dict()
 
     def _logits(self, X: np.ndarray, training: bool, rng) -> Tensor:
-        if training and self.config.dropout > 0.0 and rng is None:
-            raise ConfigError("training-mode forward with dropout needs an rng")
         try:
             x = self.tokenizer.forward_batch(X)
         except NumericError as exc:
@@ -328,12 +336,9 @@ class Model(ScoringModel):
         try:
             cls = ad.select_row(x, 0)  # the last block kept the classification token only
             h = ad.layer_norm(cls, self.head_ln_g, self.head_ln_b, self.config.layer_norm_eps)
-            z = ad.add_bias(ad.matmul(h, self.head_w1), self.head_b1)
-            if self.head_w2 is not None:
-                z = ad.add_bias(ad.matmul(ad.gelu(z), self.head_w2), self.head_b2)
+            return _dense(h, self.head)
         except NumericError as exc:
             raise NumericError(f"head: {exc}") from None
-        return z
 
 
 class MlpModel(ScoringModel):
@@ -351,30 +356,16 @@ class MlpModel(ScoringModel):
             raise ConfigError(f"hidden sizes must be positive, got {self.hidden}")
         self.seed = int(seed)
         rng = stream_rng(self.seed, "init")
-        dims = [schema.n_features] + list(self.hidden) + [1]
-        self.weights = []
-        self.biases = []
-        for i, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:])):
-            self.weights.append(_matrix(rng, f"mlp.w{i}", n_in, n_out))
-            self.biases.append(_bias(f"mlp.b{i}", n_out))
+        self.layers = _dense_stack(rng, "mlp", [schema.n_features, *self.hidden, 1])
 
     def parameters(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out += [w, b]
-        return out
+        return [p for layer in self.layers for p in layer]
 
     def config_dict(self) -> dict:
         return {"hidden": list(self.hidden)}
 
     def _logits(self, X: np.ndarray, training: bool, rng) -> Tensor:
-        h = Tensor(X)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.add_bias(ad.matmul(h, w), b)
-            if i != last:
-                h = ad.gelu(h)
-        return h
+        return _dense(Tensor(X), self.layers)
 
 
 class LogisticModel(MlpModel):
@@ -386,7 +377,7 @@ class LogisticModel(MlpModel):
 
     def __init__(self, schema: FeatureSchema, seed: int = 0):
         super().__init__(schema, hidden=(), seed=seed)
-        self.w, self.b = self.weights[0], self.biases[0]
+        ((self.w, self.b),) = self.layers
 
     def config_dict(self) -> dict:
         return {}

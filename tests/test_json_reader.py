@@ -492,9 +492,12 @@ def test_infinite_spec_bias_exits_2(tmp_path):
 
 
 def test_missing_spec_file_exits_2(tmp_path):
-    rc, err = run([
-        "synth", "--spec", str(tmp_path / "nothere.json"), "--out", str(tmp_path / "t.csv"), "--n", "12",
-    ])
-    assert rc == 2
-    assert "spec file not found" in err
-    assert "Traceback" not in err
+    missing, out = str(tmp_path / "nothere.json"), str(tmp_path / "t.csv")
+    for argv, message in (
+        (["synth", "--spec", missing, "--out", out, "--n", "12"], "spec file not found"),
+        (["train", "--config", missing, "--data", out, "--target", "label"], "config file not found"),
+    ):
+        rc, err = run(argv)
+        assert rc == 2
+        assert message in err
+        assert "Traceback" not in err

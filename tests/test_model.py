@@ -40,6 +40,11 @@ def mixed_schema():
     )
 
 
+def exact_gelu(a):
+    # oracle: a * Phi(a), with Phi from math.erf
+    return a * np.vectorize(lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))))(a)
+
+
 def tiny_config(**kw):
     base = dict(embed_dim=8, n_heads=2, n_blocks=1, ffn_dim=16, dropout=0.0)
     base.update(kw)
@@ -326,7 +331,7 @@ class TestForward:
 
     def test_train_mode_needs_rng_when_dropout_on(self):
         model = Model(tiny_config(dropout=0.2), numeric_schema(3), seed=17)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="dropout requires an explicit rng"):
             model.forward_batch(np.ones((1, 3)), training=True)
 
     def test_train_mode_deterministic_given_rng(self):
@@ -344,10 +349,32 @@ class TestForward:
         train = model.forward_batch(X, training=True).data
         assert np.array_equal(train, model.predict_proba(X))
 
-    def test_head_hidden_path(self):
+    def test_head_hidden_path(self, monkeypatch):
         model = Model(tiny_config(head_hidden=6), numeric_schema(3), seed=20)
-        p = model.predict_proba(np.random.default_rng(5).normal(size=(3, 3)))
+        X = np.random.default_rng(5).normal(size=(3, 3))
+        p = model.predict_proba(X)
         assert p.shape == (3,) and np.all((p > 0) & (p < 1))
+        # the head by hand: layer norm, then affine, GELU, affine, on the
+        # classification row that _logits hands the head
+        rng = np.random.default_rng(6)
+        ln_g, ln_b, w0, b0, w1, b1 = [q.data for q in model.parameters()[-6:]]
+        assert (ln_g.shape, w0.shape, w1.shape) == ((8,), (8, 6), (6, 1))
+        for q in (ln_g, ln_b, b0, b1):
+            q[...] = rng.normal(size=q.shape)
+        rows, select_row = [], ad.select_row
+
+        def capture(*args):
+            rows.append(select_row(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(ad, "select_row", capture)
+        z = model._logits(X, False, None).data
+        (cls,) = rows
+        c = cls.data - cls.data.mean(axis=-1, keepdims=True)
+        h = c / np.sqrt((c * c).mean(axis=-1, keepdims=True) + 1e-5) * ln_g + ln_b
+        expected = exact_gelu(h @ w0 + b0) @ w1 + b1
+        assert z.shape == (3, 1)
+        np.testing.assert_allclose(z, expected, rtol=1e-12, atol=1e-12)
 
     def test_whole_model_grad_check(self):
         model = Model(tiny_config(), mixed_schema_six(), seed=21)
@@ -415,6 +442,18 @@ class TestBaselines:
         model = build_model(kind, numeric_schema(9), seed=4)
         X = np.random.default_rng(5).normal(size=(2500, 9))
         assert np.array_equal(model.predict_proba(X), model.forward_batch(X).data)
+
+    def test_mlp_matches_direct_evaluation(self):
+        model = MlpModel(numeric_schema(3), hidden=(5, 4), seed=8)
+        rng = np.random.default_rng(9)
+        w0, b0, w1, b1, w2, b2 = [q.data for q in model.parameters()]
+        assert (w0.shape, w1.shape, w2.shape) == ((3, 5), (5, 4), (4, 1))
+        for b in (b0, b1, b2):
+            b[...] = rng.normal(size=b.shape)
+        X = rng.normal(size=(6, 3)) * 2
+        expected = exact_gelu(exact_gelu(X @ w0 + b0) @ w1 + b1) @ w2 + b2
+        z = model._logits(X, False, None).data
+        np.testing.assert_allclose(z, expected, rtol=1e-12, atol=1e-12)
 
     def test_mlp_forward_range(self):
         model = MlpModel(numeric_schema(4), hidden=(8, 8), seed=2)
