@@ -31,26 +31,30 @@ passes.
 
 Fused ops. ``attention_sublayer`` and ``ffn_sublayer`` each run one
 pre-norm residual sublayer of a transformer block as a single op with
-a hand-written ``vjp`` over the buffers its forward pass saved, and one
-finiteness check on its output. Tiling rule: they walk the leading
+a hand-written ``vjp`` over the buffers its forward pass saved, and
+one finiteness check on its output. Tiling rule: they walk the leading
 (sample) axis in tiles of ``_tile_rows`` samples, sized so that one
 sample's widest intermediate times the tile stays within a fixed
-element budget (no setting). ``_each_tile`` drives every tile loop:
-under a tape a tile writes its rows of full-batch buffers, which the
-vjp reads, and with no tape a per-thread scratch tile. The weight,
+element budget (no setting). ``_each_tile`` drives every tile loop and
+makes its buffers: under a tape a tile writes its rows of the
+full-batch buffers that the vjp reads, and every other buffer, with no
+tape every buffer, is per-thread scratch. A fused op saves only what
+its vjp reads. Of layer norm that is the normalised input and 1/std,
+from which the vjp rebuilds the norm's output with the forward pass's
+bits; of the FFN's GELU, the activation and the slope. The weight,
 bias and gain gradients are full-batch reductions, and so are the
-vjp's input-gradient GEMMs. Oracle rule: the primitive ops stay,
-and a fused op must equal its composite of primitives bit for bit in
-the forward pass, draw its dropout masks by the same ``rng.random``
-calls in the same order, and match the composite's gradients (the
-tests allow 1e-12). Op and tile call one private kernel per rule:
-``_softmax`` and ``_softmax_grad``; ``_ln_check``, ``_ln_rows`` and
-``_ln_grad``; ``_dropped`` for every dropout mask; ``_heads`` for the
-head split; ``_gelu_kernel`` and ``_gelu_grad``. So that comparison
-checks tiling, layouts, GEMM order and rng use, not the formulas,
-which keep their own checks: softmax and layer norm against direct
-evaluation, scalar attention (acceptance criterion 02), ``grad_check``
-of every op, and dropout's scale.
+vjp's input-gradient GEMMs. Oracle rule: the primitive ops stay, and a
+fused op must equal its composite of primitives bit for bit in the
+forward pass, draw its dropout masks by the same ``rng.random`` calls
+in the same order, and match the composite's gradients (the tests
+allow 1e-12). Op and tile call one private kernel per rule:
+``_softmax`` and ``_softmax_grad``; ``_ln_check``, ``_ln_rows``,
+``_ln_affine`` and ``_ln_grad``; ``_dropped`` for every dropout mask;
+``_heads`` for the head split; ``_gelu_kernel`` and ``_gelu_slope``.
+So that comparison checks tiling, layouts, GEMM order and rng use, not
+the formulas, which keep their own checks: softmax and layer norm
+against direct evaluation, scalar attention (acceptance criterion 02),
+``grad_check`` of every op, and dropout's scale.
 
 Last-token rule. ``attention_sublayer(..., last_only=True)`` returns
 the last token's row only, [..., 1, d]: every token is normalised and
@@ -397,8 +401,12 @@ def _softmax(x: np.ndarray, out: np.ndarray):
 
 
 def _softmax_grad(s: np.ndarray, og: np.ndarray) -> np.ndarray:
-    """The gradient of softmax's input, from its output ``s``."""
-    return s * (og - (og * s).sum(axis=-1, keepdims=True))
+    """The gradient of softmax's input, s * (og - sum(og * s)), from its
+    output ``s``, in one new array."""
+    g = og * s
+    np.subtract(og, g.sum(axis=-1, keepdims=True), out=g)
+    g *= s
+    return g
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -464,13 +472,14 @@ def _gelu_kernel(u: np.ndarray, act: np.ndarray, cdf: Optional[np.ndarray], w: n
         np.subtract(y, a, out=a)  # max(u, 0) - |u| h
 
 
-def _gelu_grad(og: np.ndarray, u: np.ndarray, cdf: np.ndarray, w: np.ndarray, out: np.ndarray):
-    """out = og * GELU'(u) = og * (Phi(u) + u * phi(u)), from ``_gelu_kernel``'s
-    Phi(u) and w = exp(-u*u/2)."""
-    np.multiply(u, w, out=out)
-    out *= _INV_SQRT_2PI
-    out += cdf
-    out *= og
+def _gelu_slope(u: np.ndarray, w: np.ndarray, cdf: np.ndarray):
+    """cdf = GELU'(u) = Phi(u) + u * phi(u), in place, from ``_gelu_kernel``'s
+    Phi(u) in ``cdf`` and w = exp(-u*u/2), which it overwrites. The ops are
+    u * w, times 1/sqrt(2 pi), plus Phi; IEEE products and sums commute, so
+    the operands' order does not move a bit."""
+    w *= u
+    w *= _INV_SQRT_2PI
+    cdf += w
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -497,18 +506,19 @@ def gelu(a: Tensor) -> Tensor:
     expand in powers of y and round to double. The weighted error is
     1.4e-17 before that rounding and 2.5e-17 after it.
 
-    The kernel leaves exp(-x*x/2) behind, and the vjp reuses it for
-    phi(x), so the backward pass runs no ``exp``.
+    The kernel leaves exp(-x*x/2) behind, and under a tape
+    ``_gelu_slope`` turns it and Phi(x) into the slope GELU'(x), the one
+    array the vjp keeps, so the backward pass runs no ``exp``.
     """
     x = np.ascontiguousarray(a.data)
     data, w = np.empty_like(x), np.empty_like(x)
-    cdf = None if active_tape() is None else np.empty_like(x)
-    _gelu_kernel(x, data, cdf, w)
+    slope = None if active_tape() is None else np.empty_like(x)
+    _gelu_kernel(x, data, slope, w)
+    if slope is not None:
+        _gelu_slope(x, w, slope)
 
     def vjp(og):
-        g = np.empty_like(x)
-        _gelu_grad(og, x, cdf, w, g)
-        return (g,)
+        return (og * slope,)
 
     return _emit("gelu", data, (a,), vjp)
 
@@ -545,8 +555,15 @@ def _ln_rows(x, gain, bias, eps, xhat, inv, out):
     var = (xhat ** 2).mean(axis=-1, keepdims=True)
     np.divide(1.0, np.sqrt(var + eps), out=inv)
     xhat *= inv
-    np.multiply(xhat, gain, out=out)
+    _ln_affine(xhat, gain, bias, out)
+
+
+def _ln_affine(xhat, gain, bias, out=None) -> np.ndarray:
+    """Layer norm's output xhat * gain + bias, into ``out`` when given: the
+    fused vjps rebuild it from ``xhat`` with the forward pass's bits."""
+    out = np.multiply(xhat, gain, out=out)
     out += bias
+    return out
 
 
 def _ln_grad(og, gain, xhat, inv, out):
@@ -580,9 +597,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def _dropped(a: np.ndarray, keep: Optional[np.ndarray], scale: float) -> np.ndarray:
-    """``a`` itself when ``keep`` is None, else a * keep * scale: a dropped
-    element becomes a zero of a's sign."""
-    return a if keep is None else a * keep * scale
+    """``a`` itself when ``keep`` is None, else a * keep * scale in one new
+    array: a dropped element becomes a zero of a's sign."""
+    if keep is None:
+        return a
+    out = np.multiply(a, keep)
+    out *= scale
+    return out
 
 
 def _dropout_check(rate: float, rng, training: bool) -> bool:
@@ -808,20 +829,24 @@ def _spawn(fn: Callable) -> Callable:
     return lambda: fn() if future.cancel() else future.result()
 
 
-def _each_tile(n: int, rows: int, body, make=None):
+def _each_tile(n: int, rows: int, body, scratch=(), saved=()):
     """Call ``body(lo, hi, bufs)`` for every tile [lo, hi) of ``n``
     samples, claimed in turn by the calling thread and its helpers.
-    ``make(m)`` gives buffers of m samples. Under a tape they are made
-    full-batch, ``bufs`` is their rows lo:hi, and they are returned. With
-    no tape each thread makes ``min(n, rows)`` samples' worth on its
-    first tile and ``bufs`` is their first hi - lo rows. Once a tile
-    raises, no more are claimed, and the error is raised after every
-    helper has returned."""
-    saved = make(n) if make is not None and active_tape() is not None else None
+    ``scratch`` and ``saved`` are per-sample buffer shapes, and ``bufs``
+    holds the tile's rows of each, scratch first. Under a tape the saved
+    buffers are made full-batch and returned, for the vjp to read, and
+    ``bufs`` holds their rows lo:hi. Every other buffer, and with no tape
+    every buffer, is per-thread scratch: a thread makes one set of
+    ``min(n, rows)`` samples on the first tile it claims, and ``bufs``
+    holds the first hi - lo rows of it. Once a tile raises, no more are
+    claimed, and the error is raised after every helper has returned."""
+    taped = active_tape() is not None
+    kept = [np.empty((n,) + shape) for shape in saved] if taped else []
+    per_thread = list(scratch) + ([] if taped else list(saved))
     los, lock, errors = iter(range(0, n, rows)), threading.Lock(), []
 
     def drain():
-        scratch = None
+        own = None
         try:
             while True:
                 with lock:
@@ -829,13 +854,9 @@ def _each_tile(n: int, rows: int, body, make=None):
                 if lo is None:
                     return
                 hi = min(n, lo + rows)
-                if saved is not None:
-                    body(lo, hi, [b[lo:hi] for b in saved])
-                elif make is not None:
-                    scratch = scratch or make(min(n, rows))
-                    body(lo, hi, [b[: hi - lo] for b in scratch])
-                else:
-                    body(lo, hi, None)
+                if own is None:
+                    own = [np.empty((min(n, rows),) + shape) for shape in per_thread]
+                body(lo, hi, [b[: hi - lo] for b in own] + [b[lo:hi] for b in kept])
         except BaseException as exc:  # raised by the caller once every helper is joined
             errors.append(exc)
 
@@ -847,7 +868,7 @@ def _each_tile(n: int, rows: int, body, make=None):
         join()
     if errors:
         raise errors[0]
-    return saved
+    return kept if taped else None
 
 
 # ---------------------------------------------------------------------------
@@ -932,15 +953,13 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
     score_scale = 1.0 / math.sqrt(d // h)
     rows = _tile_rows(t * max(d, h * t))
 
-    def make(m):  # xhat, hn, k, v, inv; q, ctx and the scores (sample-major) for the query rows
-        return [np.empty((m, t, d)) for _ in range(4)] + [np.empty((m, t, 1))] + [
-            np.empty((m, tq, d)), np.empty((m, tq, d)), np.empty((m, h, tq, t))
-        ]
-
+    # scratch: hn; saved: xhat, inv, k, v; q, ctx and the scores
+    # (sample-major) for the query rows
+    scratch, saved = [(t, d)], [(t, d), (t, 1), (t, d), (t, d), (tq, d), (tq, d), (h, tq, t)]
     out = np.empty((n, tq, d))
 
     def tile(lo, hi, bufs):
-        xhat, hn, k, v, inv, q, ctx, s = bufs
+        hn, xhat, inv, k, v, q, ctx, s = bufs
         _ln_rows(xs[lo:hi], ln_g.data, ln_b.data, eps, xhat, inv, hn)
         for dst, src, w in ((q, hn[:, qs], w_q), (k, hn, w_k), (v, hn, w_v)):
             np.matmul(src.reshape(-1, d), w.data, out=dst.reshape(-1, d))
@@ -954,10 +973,10 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
         o = _dropped(o, None if keep_o is None else keep_o[lo:hi], scale)
         np.add(xs[lo:hi, qs], o, out=out[lo:hi])
 
-    saved = _each_tile(n, rows, tile, make)
+    kept = _each_tile(n, rows, tile, scratch, saved)
 
     def vjp(og):
-        xhat, hn, k, v, inv, q, ctx, s = saved
+        xhat, inv, k, v, q, ctx, s = kept
         g_o = _dropped(og.reshape(n, tq, d), keep_o, scale).reshape(-1, d)
         g_w_o = _spawn(lambda: ctx.reshape(-1, d).T @ g_o)
         g_ctx = (g_o @ w_o.data.T).reshape(n, tq, d)
@@ -974,13 +993,17 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
             np.matmul(np.swapaxes(_heads(q[lo:hi], h), -1, -2), g_sc, out=g_kt[:, lo:hi])
 
         _each_tile(n, rows, tile)
+        del g_ctx
         # the composite's layout of K's gradient (a strided view for n = 1)
         g_k = np.moveaxis(np.swapaxes(g_kt, -1, -2), 0, -2).reshape(-1, d)
+        del g_kt
         g_q, g_v = g_q.reshape(-1, d), g_v.reshape(-1, d)
+        hn = _ln_affine(xhat, ln_g.data, ln_b.data)
         h2, hq = hn.reshape(-1, d), hn[:, qs].reshape(-1, d)
         g_w = [_spawn(lambda a=a, g=g: a.T @ g) for a, g in ((hq, g_q), (h2, g_k), (h2, g_v))]
         # the tape's fan-out order into the layer-norm output: (v + k) + q
-        g_hn = (g_v @ w_v.data.T + g_k @ w_k.data.T).reshape(n, t, d)
+        g_hn = (g_v @ w_v.data.T).reshape(n, t, d)
+        g_hn += (g_k @ w_k.data.T).reshape(n, t, d)
         g_hn[:, qs] += (g_q @ w_q.data.T).reshape(n, tq, d)
         g_x = _ln_residual_vjp(og.reshape(n, tq, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
         return g_x + tuple(g() for g in g_w) + (g_w_o(),)
@@ -1001,9 +1024,13 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
     (the output of a ``last_only`` attention sublayer), is the token
     count the mask is drawn for; x uses its last t rows.
 
-    The GELU runs the composite's kernels (``_gelu_kernel``, ``_gelu_grad``)
-    on each tile. Fused and composite are bitwise equal only when d and
-    f are multiples of 8: at other widths OpenBLAS runs a tile's GEMM
+    The GELU runs the composite's kernels (``_gelu_kernel``,
+    ``_gelu_slope``) on each tile. Under a tape the op keeps the
+    activation and the slope, which is written over Phi; the
+    pre-activation and exp(-pre^2/2) are tile scratch, and the vjp's
+    GELU step is one product, slope times the activation's gradient.
+    Fused and composite are bitwise equal only when d and f are
+    multiples of 8: at other widths OpenBLAS runs a tile's GEMM
     with its small-matrix kernel, which rounds differently from the
     full-batch GEMM. With f = 12 at d = 32 the output differs by up to
     8.9e-16 and the gradients by up to 7.1e-14.
@@ -1023,40 +1050,41 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
     if rate > 0.0:
         keep_o = rng.random((n, drawn, d))[:, drawn - t:] >= rate
     rows = _tile_rows(t * max(d, f))
-    widths = (d, d, 1, f, f, f) + ((f,) if active_tape() is not None else ())  # Phi: vjp only
-
-    def make(m):  # xhat, hn, inv, pre-activation, exp(-pre^2/2), activation; Phi(pre)
-        return [np.empty((m, t, w)) for w in widths]
-
+    # scratch: hn, the pre-activation and exp(-pre^2/2); saved: xhat, inv,
+    # the activation and, for the vjp only, GELU's slope
+    scratch = [(t, d), (t, f), (t, f)]
+    saved = [(t, d), (t, 1), (t, f)] + ([(t, f)] if active_tape() is not None else [])
     out = np.empty((n, t, d))
 
     def tile(lo, hi, bufs):
-        xhat, hn, inv, pre, gauss, act, *cdf = bufs
+        hn, pre, gauss, xhat, inv, act, *slope = bufs
         _ln_rows(xs[lo:hi], ln_g.data, ln_b.data, eps, xhat, inv, hn)
         np.matmul(hn.reshape(-1, d), w1.data, out=pre.reshape(-1, f))
         pre += b1.data
-        _gelu_kernel(pre, act, cdf[0] if cdf else None, gauss)
+        _gelu_kernel(pre, act, slope[0] if slope else None, gauss)
+        if slope:
+            _gelu_slope(pre, gauss, slope[0])
         o = (act.reshape(-1, f) @ w2.data).reshape(hi - lo, t, d)
         o += b2.data
         o = _dropped(o, None if keep_o is None else keep_o[lo:hi], scale)
         np.add(xs[lo:hi], o, out=out[lo:hi])
 
-    saved = _each_tile(n, rows, tile, make)
+    kept = _each_tile(n, rows, tile, scratch, saved)
 
     def vjp(og):
-        xhat, hn, inv, pre, gauss, act, cdf = saved
+        xhat, inv, act, slope = kept
         lead = tuple(range(x.data.ndim - 1))
         g_o = _dropped(og.reshape(n, t, d), keep_o, scale).reshape(-1, d)
         g_w2 = _spawn(lambda: act.reshape(-1, f).T @ g_o)
         g_b2 = _spawn(lambda: g_o.reshape(x.shape).sum(axis=lead))
-        g_act = (g_o @ w2.data.T).reshape(n, t, f)
-        g_u = np.empty((n, t, f))
+        g_u = (g_o @ w2.data.T).reshape(n, t, f)  # the activation's gradient, until the tiles run
 
         def tile(lo, hi, _):
-            _gelu_grad(g_act[lo:hi], pre[lo:hi], cdf[lo:hi], gauss[lo:hi], g_u[lo:hi])
+            g_u[lo:hi] *= slope[lo:hi]
 
         _each_tile(n, rows, tile)
         g_u = g_u.reshape(-1, f)
+        hn = _ln_affine(xhat, ln_g.data, ln_b.data)
         g_w1 = _spawn(lambda: hn.reshape(-1, d).T @ g_u)
         g_b1 = _spawn(lambda: g_u.reshape(x.shape[:-1] + (f,)).sum(axis=lead))
         g_hn = (g_u @ w1.data.T).reshape(n, t, d)

@@ -191,6 +191,17 @@ class TestElementwise:
         # survivor fraction close to 1 - rate
         assert abs((out != 0).mean() - 0.75) < 0.02
 
+    def test_dropped_has_the_bits_of_a_times_keep_times_scale(self):
+        rng = np.random.default_rng(4)
+        a = np.concatenate([rng.normal(size=200), -rng.random(50), [0.0, -0.0] * 10, [-5e-324, 1e300]])
+        keep, scale = rng.random(a.size) >= 0.3, 1.0 / (1.0 - 0.3)
+        before = a.copy()
+        got = ad._dropped(a, keep, scale)
+        assert got.tobytes() == (a * keep * scale).tobytes()  # a dropped -x is -0.0
+        assert np.signbit(got[~keep & np.signbit(a)]).all()
+        assert a.tobytes() == before.tobytes()
+        assert ad._dropped(a, None, scale) is a
+
     def test_dropout_is_seed_deterministic(self):
         x = tensor(np.ones((8, 8)))
         a = ad.dropout(x, 0.5, np.random.default_rng(9), training=True).data
@@ -272,6 +283,20 @@ class TestGeluKernel:
         act, w = np.empty_like(u), np.empty_like(u)
         ad._gelu_kernel(u, act, None, w)
         assert np.array_equal(act, whole[0]) and np.array_equal(w, whole[2])
+
+    def test_gelu_vjp_is_og_times_phi_plus_u_phi_in_one_op_order(self):
+        u = np.concatenate([np.random.default_rng(5).normal(scale=4.0, size=5000), EDGES[:23]])
+        og = np.random.default_rng(6).normal(size=u.size)
+        _, cdf, w = gelu_kernel(u)
+        want = u * w
+        want *= 1.0 / math.sqrt(2.0 * math.pi)
+        want += cdf
+        want *= og
+        x = tensor(u, requires_grad=True)
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.mul(ad.gelu(x), tensor(og)))
+        tape.backward(loss)
+        assert np.array_equal(x.grad, want)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_gelu_of_a_non_finite_value_raises(self, value):
