@@ -714,57 +714,54 @@ def mean_all(x: Tensor) -> Tensor:
     return _emit("mean_all", data, (x,), vjp)
 
 
-def feature_tokens(x: np.ndarray, numeric_idx, categorical_idx, params: Sequence[Tensor]) -> Tensor:
+def feature_tokens(x: np.ndarray, numeric_idx, categorical_idx, sizes, params: Sequence[Tensor]) -> Tensor:
     """The feature tokenizer: raw rows x[n, f] -> tokens [n, f + 1, d].
 
-    Token j is x[:, j] * w[k] + b[k] when j is the k-th numeric feature
-    and table_k[int(x[:, j])] when it is the k-th categorical one; token
-    f is ``cls``. ``params`` is w[f_num, d] and b[f_num, d] (only when
-    there are numeric features), one table[v, d] per categorical
-    feature, then cls[d]. ``x`` is raw data and is not differentiated.
+    ``params`` is (w[f_num, d], b[f_num, d], table[sum(sizes), d],
+    cls[d]). The k-th categorical feature owns ``sizes[k]`` table rows
+    from offset_k = sizes[0] + ... + sizes[k-1], and a kind with no
+    feature has zero rows. Token j is x[:, j] * w[k] + b[k] when j is
+    the k-th numeric feature and table[offset_k + int(x[:, j])] when it
+    is the k-th categorical one; token f is ``cls``. A code that is not
+    a whole number, or lies outside its own column's rows, is an error,
+    even when it lies inside the table. ``x`` is raw data and is not
+    differentiated.
     """
     x = np.asarray(x, dtype=np.float64)
     num, cat = np.asarray(numeric_idx, np.intp), np.asarray(categorical_idx, np.intp)
+    sizes = np.asarray(sizes, np.intp)
     params = tuple(params)
-    affine = params[:2] if num.size else ()
-    tables, cls = params[len(affine):-1], params[-1]
-    d = cls.data.shape[-1]
+    d = params[-1].data.shape[-1]
     if (
         x.ndim != 2
-        or len(tables) != cat.size
+        or sizes.shape != cat.shape
         or not np.array_equal(np.sort(np.concatenate([num, cat])), np.arange(x.shape[1]))
-        or cls.data.shape != (d,)
-        or any(p.data.shape != (num.size, d) for p in affine)
-        or any(t.data.ndim != 2 or t.data.shape[1] != d for t in tables)
+        or [p.data.shape for p in params] != [(num.size, d), (num.size, d), (sizes.sum(), d), (d,)]
     ):
         raise ShapeError(
             f"feature_tokens shapes disagree: x {x.shape}, {num.size} numeric and {cat.size} "
             f"categorical features, parameters {[p.shape for p in params]}"
         )
+    w, b, table, cls = params
     n, f = x.shape
-    codes = x[:, cat].astype(np.intp)
-    rows = np.array([t.data.shape[0] for t in tables], dtype=np.intp)
-    if codes.size and (codes.min() < 0 or (codes >= rows).any()):
-        raise ShapeError(f"embedding index out of range for tables with {rows.tolist()} rows")
+    codes = x[:, cat]
+    if not ((codes >= 0) & (codes < sizes) & (codes % 1 == 0)).all():  # NaN fails too
+        raise ShapeError(
+            f"embedding index out of range for columns with {sizes.tolist()} rows, or not a whole number"
+        )
+    rows = codes.astype(np.intp) + (np.cumsum(sizes) - sizes)
+    xn = x[:, num]
     data = np.empty((n, f + 1, d))
-    if num.size:
-        xn = x[:, num]
-        data[:, num] = xn[:, :, None] * affine[0].data + affine[1].data
-    for k, (j, table) in enumerate(zip(cat, tables)):
-        data[:, j] = table.data[codes[:, k]]
+    data[:, num] = xn[:, :, None] * w.data + b.data
+    data[:, cat] = table.data[rows]
     data[:, f] = cls.data
 
     def vjp(og):
-        grads = []
-        if num.size:
-            og_num = og[:, num]
-            grads += [np.einsum("nf,nfd->fd", xn, og_num), og_num.sum(axis=0)]
-        for k, (j, table) in enumerate(zip(cat, tables)):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, codes[:, k], og[:, j])
-            grads.append(gt)
-        grads.append(og[:, f].sum(axis=0))
-        return tuple(grads)
+        og_num = og[:, num]
+        # a table row belongs to one column, so it sums its rows' flows in row order
+        g_table = np.zeros_like(table.data)
+        np.add.at(g_table, rows, og[:, cat])
+        return np.einsum("nf,nfd->fd", xn, og_num), og_num.sum(axis=0), g_table, og[:, f].sum(axis=0)
 
     return _emit("feature_tokens", data, params, vjp)
 

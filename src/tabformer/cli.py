@@ -78,6 +78,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, name, value)
     if cfg.model not in MODELS:
         raise ConfigError(f"unknown model kind {cfg.model!r}")
+    if "seed" in cfg.train_config:
+        raise ConfigError("train_config may not set 'seed'; set the top-level 'seed' or pass --seed")
     if cfg.k_folds < 2:
         raise ConfigError(f"k_folds must be at least 2, got {cfg.k_folds}")
     if not 0.0 < cfg.threshold < 1.0:  # NaN fails this too

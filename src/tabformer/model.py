@@ -8,7 +8,7 @@ transformer's head. ``MODELS`` maps each kind name to its factory;
 building, checkpoint loading and the CLI's choices all go through it.
 
 Architecture: each feature becomes one d-dimensional token (numeric:
-x_j * W_j + b_j; categorical: embedding lookup with a reserved UNK row),
+x_j * W_j + b_j; categorical: its rows of one embedding table, UNK last),
 a learned classification token is appended LAST, the sequence passes
 through pre-norm residual blocks (x + MHSA(LN(x)), then x + FFN(LN(x))
 with GELU), and the head reads the classification token through a layer
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .data import CATEGORICAL, NUMERIC, FeatureSchema
+from .data import FeatureSchema
 from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict
 from .seeding import stream_rng
 
@@ -107,6 +107,10 @@ def _dense(h: Tensor, layers) -> Tensor:
     return h
 
 
+# rows per eval forward in ``ScoringModel.predict_proba``
+PREDICT_BATCH = 1024
+
+
 def _check_rows(X: np.ndarray, n_features: int) -> None:
     if X.ndim != 2 or X.shape[1] != n_features:
         raise ShapeError(f"expected rows of length {n_features}, got shape {X.shape}")
@@ -138,49 +142,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 class FeatureTokenizer:
     """Per-feature token embedding plus the learned classification token.
 
-    One ``autodiff.feature_tokens`` op writes feature j's token straight
-    into token row j, whatever the mix of kinds, and the classification
-    token into row n_features (last).
+    Four parameters for every schema: ``numeric_w`` and ``numeric_b``,
+    one embedding ``table`` that stacks each categorical column's
+    ``sizes[k]`` rows (vocabulary plus UNK) in schema order, and ``cls``;
+    a kind the schema lacks has zero rows. One ``autodiff.feature_tokens``
+    op writes feature j's token straight into token row j and the
+    classification token into row n_features (last).
     """
 
     def __init__(self, schema: FeatureSchema, embed_dim: int, rng: np.random.Generator):
         self.schema = schema
         self.numeric_idx = schema.numeric_indices()
         self.categorical_idx = schema.categorical_indices()
+        self.sizes = tuple(schema.columns[j].n_categories for j in self.categorical_idx)
         bound = 1.0 / math.sqrt(embed_dim)
-
-        self._params = []
-        self.numeric_w = None
-        self.numeric_b = None
-        if self.numeric_idx.size:
-            self.numeric_w = Parameter(
-                _uniform(rng, (self.numeric_idx.size, embed_dim), bound),
-                name="tokenizer.numeric_w",
-                decay=True,
-            )
-            self.numeric_b = _bias("tokenizer.numeric_b", (self.numeric_idx.size, embed_dim))
-            self._params += [self.numeric_w, self.numeric_b]
-        self.tables = []
-        for j in self.categorical_idx:
-            col = schema.columns[j]
-            table = Parameter(
-                _uniform(rng, (col.n_categories, embed_dim), bound),
-                name=f"tokenizer.table.{col.name}",
-                decay=True,
-            )
-            self.tables.append(table)
-            self._params.append(table)
+        n_numeric = self.numeric_idx.size
+        self.numeric_w = Parameter(
+            _uniform(rng, (n_numeric, embed_dim), bound), name="tokenizer.numeric_w", decay=True
+        )
+        self.numeric_b = _bias("tokenizer.numeric_b", (n_numeric, embed_dim))
+        self.table = Parameter(
+            _uniform(rng, (sum(self.sizes), embed_dim), bound), name="tokenizer.table", decay=True
+        )
         self.cls = Parameter(
             _uniform(rng, (embed_dim,), bound), name="tokenizer.cls", decay=False
         )
-        self._params.append(self.cls)
 
     def parameters(self) -> list:
-        return list(self._params)
+        return [self.numeric_w, self.numeric_b, self.table, self.cls]
 
     def forward_batch(self, X: np.ndarray) -> Tensor:
         _check_rows(X, self.schema.n_features)
-        return ad.feature_tokens(X, self.numeric_idx, self.categorical_idx, self._params)
+        return ad.feature_tokens(X, self.numeric_idx, self.categorical_idx, self.sizes, self.parameters())
 
 
 class TransformerBlock:
@@ -282,11 +275,12 @@ class ScoringModel:
             raise ShapeError(f"expected a single row, got shape {row.shape}")
         return float(self.forward_batch(row[None, :], training, rng).data[0])
 
-    def predict_proba(self, X: np.ndarray, batch_size: int = 1024) -> np.ndarray:
-        """Eval-mode probabilities with no graph recording."""
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Eval-mode probabilities with no graph recording, computed
+        ``PREDICT_BATCH`` rows at a time."""
         out = np.empty(X.shape[0], dtype=np.float64)
-        for lo in range(0, X.shape[0], batch_size):
-            chunk = X[lo : lo + batch_size]
+        for lo in range(0, X.shape[0], PREDICT_BATCH):
+            chunk = X[lo : lo + PREDICT_BATCH]
             out[lo : lo + chunk.shape[0]] = self.forward_batch(chunk).data
         return out
 

@@ -462,51 +462,76 @@ class TestGradCheck:
 
     @staticmethod
     def _tokens_case(kinds):
-        """Raw rows, index arrays and tokenizer parameters for a schema
-        given as a string of 'n' (numeric) and 'c' (categorical, 3 codes
-        plus UNK); every table's UNK row is looked up at least once."""
+        """Raw rows, index arrays, column sizes and tokenizer parameters
+        for a schema given as a string of 'n' (numeric) and 'c'
+        (categorical, 3 codes plus UNK, so 4 table rows each); every
+        column's UNK row is looked up at least once."""
         rng = np.random.default_rng(31)
         n, d = 5, 4
         num = np.array([j for j, k in enumerate(kinds) if k == "n"], dtype=int)
         cat = np.array([j for j, k in enumerate(kinds) if k == "c"], dtype=int)
+        sizes = [4] * cat.size
         x = rng.uniform(-2, 2, (n, len(kinds)))
         x[:, cat] = rng.integers(0, 4, (n, cat.size))
         x[0, cat] = 3  # the UNK row
-        params = []
-        if num.size:
-            params += [tensor(rng.uniform(-1, 1, (num.size, d)), requires_grad=True) for _ in range(2)]
-        params += [tensor(rng.uniform(-1, 1, (4, d)), requires_grad=True) for _ in cat]
-        params.append(tensor(rng.uniform(-1, 1, d), requires_grad=True))
-        return x, num, cat, params
+        shapes = [(num.size, d), (num.size, d), (sum(sizes), d), (d,)]
+        params = [tensor(rng.uniform(-1, 1, shape), requires_grad=True) for shape in shapes]
+        return x, num, cat, sizes, params
 
     def test_embedding_and_feature_embed_grads(self):
-        # interleaved kinds with UNK codes, all numeric (no tables) and
-        # all categorical (no numeric_w / numeric_b)
+        # interleaved kinds with UNK codes, all numeric (a zero-row table)
+        # and all categorical (zero-row numeric_w / numeric_b)
         for kinds in ("cnncnc", "nnn", "ccc"):
-            x, num, cat, params = self._tokens_case(kinds)
+            x, num, cat, sizes, params = self._tokens_case(kinds)
             weight = tensor(np.random.default_rng(7).uniform(-1, 1, (5, len(kinds) + 1, 4)))
 
             def f():
-                toks = ad.feature_tokens(x, num, cat, params)
+                toks = ad.feature_tokens(x, num, cat, sizes, params)
                 return ad.mean_all(ad.mul(ad.mul(toks, toks), weight))
 
             assert ad.grad_check(f, params) < 1e-4, kinds
 
-    @pytest.mark.parametrize("code", [-1.0, 4.0])
+    def test_feature_tokens_table_matches_a_per_column_loop(self):
+        # oracle: each column's rows looked up, and their flows summed,
+        # one column and one row at a time; the one gather and the one
+        # scatter give the same bits. Three copies of the rows make every
+        # looked-up row sum at least three flows, so the order shows.
+        x, num, cat, sizes, params = self._tokens_case("cnncnc")
+        x = np.concatenate([x, x, x])
+        table = params[2].data
+        og = np.random.default_rng(8).uniform(-1, 1, (15, 7, 4))
+        with ad.Tape() as tape:
+            out = ad.feature_tokens(x, num, cat, sizes, params)
+        g_table = tape.nodes[0].vjp(og)[2]
+        expect, expect_grad = np.empty((15, len(cat), 4)), np.zeros_like(table)
+        for k, j in enumerate(cat):
+            for i in range(15):
+                row = sum(sizes[:k]) + int(x[i, j])
+                expect[i, k] = table[row]
+                expect_grad[row] += og[i, j]
+        assert np.array_equal(out.data[:, cat], expect)
+        assert np.array_equal(g_table, expect_grad)
+
+    @pytest.mark.parametrize("code", [-1.0, 4.0, -0.5, 1.5, np.nan])
     def test_feature_tokens_rejects_an_out_of_range_code(self, code):
-        x, num, cat, params = self._tokens_case("cnncnc")
+        # column 1 is not the last, so code 4 lies inside the one table
+        # but outside that column's 4 rows; a fraction would otherwise be
+        # truncated to a row (-0.5 to row 0)
+        x, num, cat, sizes, params = self._tokens_case("cnncnc")
         x[2, cat[1]] = code
         with pytest.raises(ShapeError, match="out of range"):
-            ad.feature_tokens(x, num, cat, params)
+            ad.feature_tokens(x, num, cat, sizes, params)
 
     def test_feature_tokens_checks_shapes(self):
-        x, num, cat, params = self._tokens_case("cnncnc")
+        x, num, cat, sizes, params = self._tokens_case("cnncnc")
         with pytest.raises(ShapeError):
-            ad.feature_tokens(x[0], num, cat, params)  # not 2-D
+            ad.feature_tokens(x[0], num, cat, sizes, params)  # not 2-D
         with pytest.raises(ShapeError):
-            ad.feature_tokens(x, num, cat, params[1:])  # a parameter short
+            ad.feature_tokens(x, num, cat, sizes, params[1:])  # a parameter short
         with pytest.raises(ShapeError):
-            ad.feature_tokens(x[:, :-1], num, cat, params)  # a feature short
+            ad.feature_tokens(x[:, :-1], num, cat, sizes, params)  # a feature short
+        with pytest.raises(ShapeError):
+            ad.feature_tokens(x, num, cat, sizes[:-1], params)  # a column size short
 
     def test_dropout_grad_with_reseeded_mask(self):
         x = tensor(np.linspace(-1.5, 1.5, 12).reshape(3, 4), requires_grad=True)
@@ -578,7 +603,7 @@ def _op_cases():
         "mean_all": (ad.mean_all, [t(2, 3)]),
         "feature_tokens": (
             lambda w, b, table, cls: ad.feature_tokens(
-                np.array([[0.5, 2.0, -1.0], [1.5, 0.0, 0.25]]), [0, 2], [1], [w, b, table, cls]
+                np.array([[0.5, 2.0, -1.0], [1.5, 0.0, 0.25]]), [0, 2], [1], [3], [w, b, table, cls]
             ),
             [t(2, 4), t(2, 4), t(3, 4), t(4)],
         ),

@@ -38,7 +38,7 @@ class SpyModel(FixedLogistic):
         super().__init__(weights)
         self.seen = []
 
-    def predict_proba(self, X, batch_size=0):
+    def predict_proba(self, X):
         self.seen.append(X.copy())
         return super().predict_proba(X)
 

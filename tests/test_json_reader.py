@@ -212,6 +212,7 @@ def test_synth_negative_seed_flag_exits_2(tmp_path):
     "doc",
     [
         {"train_config": {"max_epochs": 2, "learning_rate": 0.1}},
+        {"train_config": {"max_epochs": 2, "seed": 9}},
         {"seed": -1},
         {"model": "mlp", "model_config": {"hidden": "x"}},
         {"model": "mlp", "model_config": {"hidden": 5}},
@@ -219,7 +220,7 @@ def test_synth_negative_seed_flag_exits_2(tmp_path):
         {"model": "mlp", "model_config": {"hidden": [True]}},
     ],
     ids=[
-        "unknown-train-key", "negative-seed",
+        "unknown-train-key", "seed-in-train-config", "negative-seed",
         "string-hidden", "int-hidden", "float-hidden", "bool-hidden",
     ],
 )

@@ -23,6 +23,8 @@ from tabformer.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from tabformer.seeding import stream_rng
+from tabformer.training import TrainConfig, train
 
 
 def numeric_schema(n):
@@ -117,17 +119,54 @@ class TestTokenizer:
         X = np.array([[1.5, 1.0, -2.0, 2.0]])  # cat codes: c1=v, c2=r
         out = tok.forward_batch(X).data[0]
         assert np.allclose(out[0], 1.5 * tok.numeric_w.data[0] + tok.numeric_b.data[0])
-        assert np.array_equal(out[1], tok.tables[0].data[1])
+        assert np.array_equal(out[1], tok.table.data[1])
         assert np.allclose(out[2], -2.0 * tok.numeric_w.data[1] + tok.numeric_b.data[1])
-        assert np.array_equal(out[3], tok.tables[1].data[2])
+        assert np.array_equal(out[3], tok.table.data[tok.sizes[0] + 2])
 
     def test_unk_code_resolves_to_reserved_row(self):
         model = Model(tiny_config(), mixed_schema(), seed=5)
         tok = model.tokenizer
         X = np.array([[0.0, 2.0, 0.0, 3.0]])  # both categorical codes = UNK
         out = tok.forward_batch(X).data[0]
-        assert np.array_equal(out[1], tok.tables[0].data[2])
-        assert np.array_equal(out[3], tok.tables[1].data[3])
+        assert np.array_equal(out[1], tok.table.data[2])
+        assert np.array_equal(out[3], tok.table.data[tok.sizes[0] + 3])
+
+    def test_four_parameters_for_every_schema(self):
+        # the table holds exactly the per-column draws, so the .bin
+        # layout is each column's rows in schema order; no BLAS is
+        # involved, so this is exact on any CPU
+        d = tiny_config().embed_dim
+        model = Model(tiny_config(), mixed_schema(), seed=7)
+        tok = model.tokenizer
+        rng = stream_rng(7, "init")
+        bound = 1.0 / math.sqrt(d)
+        assert [p.name for p in tok.parameters()] == [
+            "tokenizer.numeric_w", "tokenizer.numeric_b", "tokenizer.table", "tokenizer.cls"
+        ]
+        assert np.array_equal(tok.numeric_w.data, rng.uniform(-bound, bound, (2, d)))
+        assert np.array_equal(tok.numeric_b.data, np.zeros((2, d)))
+        per_column = [rng.uniform(-bound, bound, (v, d)) for v in (3, 4)]  # vocabulary + UNK
+        assert np.array_equal(tok.table.data, np.concatenate(per_column))
+        assert np.array_equal(tok.cls.data, rng.uniform(-bound, bound, d))
+
+        # a kind the schema lacks gets zero rows, and one training step runs
+        categorical = FeatureSchema(tuple(
+            ColumnSchema(f"c{j}", CATEGORICAL, vocabulary=("u", "v")) for j in range(3)
+        ))
+        draw = np.random.default_rng(0)
+        y = np.tile([0.0, 1.0], 4)
+        for schema, X, empty in (
+            (numeric_schema(3), draw.normal(size=(8, 3)), ("table",)),
+            (categorical, draw.integers(0, 3, (8, 3)).astype(float), ("numeric_w", "numeric_b")),
+        ):
+            model = Model(tiny_config(), schema, seed=8)
+            tok = model.tokenizer
+            assert all(getattr(tok, name).data.shape == (0, d) for name in empty)
+            cls = tok.cls.data.copy()
+            log = train(model, (X, y), (X, y), TrainConfig(max_epochs=1, batch_size=8))
+            assert np.isfinite(log.train_losses).all()
+            assert not np.array_equal(tok.cls.data, cls)
+            assert all(getattr(tok, name).data.shape == (0, d) for name in empty)
 
     def test_row_length_mismatch(self):
         model = Model(tiny_config(), numeric_schema(3), seed=0)
