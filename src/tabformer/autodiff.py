@@ -155,6 +155,16 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape}, decay={self.decay})"
 
 
+def _pack(params: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """Copy ``params`` into flat (data, grad) arrays and make each tensor's a view of its slice."""
+    data = np.concatenate([p.data.ravel() for p in params])
+    grad = np.concatenate([p.grad.ravel() for p in params])
+    ends = np.cumsum([p.size for p in params])[:-1]
+    for p, d, g in zip(params, np.split(data, ends), np.split(grad, ends)):
+        p.data, p.grad = d.reshape(p.shape), g.reshape(p.shape)
+    return data, grad
+
+
 # ---------------------------------------------------------------------------
 # Tape
 
@@ -235,8 +245,6 @@ class Tape:
                 if g is None:
                     continue
                 if t.requires_grad:
-                    if t.grad is None:
-                        t.grad = np.zeros_like(t.data)
                     t.grad += g.reshape(t.data.shape)
                 elif id(t) in self._produced:
                     acc = flows.get(id(t))
@@ -1119,7 +1127,7 @@ def grad_check(
     if out.data.size != 1:
         raise ShapeError(f"grad_check requires a scalar-valued f, got shape {out.shape}")
     tape.backward(out)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    analytic = [p.grad.copy() for p in params]
 
     if rng is None:
         rng = np.random.default_rng(0)

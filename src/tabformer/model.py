@@ -469,15 +469,11 @@ def load_checkpoint(prefix):
     digest = manifest.get("bin_sha256")
     if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
         raise DataError(f"{prefix}.bin: the parameter bytes do not match the manifest's SHA-256")
-    params = model.parameters()
-    expect = sum(p.size for p in params)
-    if len(raw) != 8 * expect:
-        raise DataError(f"checkpoint holds {len(raw)} parameter bytes, model needs {8 * expect}")
+    values, _ = ad._pack(model.parameters())
+    if len(raw) != 8 * values.size:
+        raise DataError(f"checkpoint holds {len(raw)} parameter bytes, model needs {8 * values.size}")
     flat = np.frombuffer(raw, dtype="<f8")
     if not np.isfinite(flat).all():
         raise DataError(f"{prefix}.bin: a parameter is not finite")
-    pos = 0
-    for p in params:
-        p.data[...] = flat[pos : pos + p.size].reshape(p.data.shape)
-        pos += p.size
+    values[...] = flat
     return model

@@ -10,8 +10,8 @@ Stream derivations used across the package:
               model seed is the run seed (seed + f for fold f of run_cv)
   shuffle:    stream_rng(config_seed, "shuffle") orders train's batches
   dropout:    stream_rng(config_seed, "dropout") draws train's masks; the
-              config seed is TrainConfig.seed: the run seed unless the
-              train_config sets one (seed + f for fold f of run_cv)
+              config seed is TrainConfig.seed, set to the run seed (seed + f
+              for fold f of run_cv); a run config's train_config may not set it
   importance: stream_rng(seed + feature_index, "importance")
   synth:      stream_rng(seed, "synth", column_index) per column's values;
               keys 1_000_000 (labels), 1_000_001 (label noise) and

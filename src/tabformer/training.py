@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -49,8 +49,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if self.weight_decay < 0 or self.lr * self.weight_decay >= 1.0:  # keeps 1 - lr * wd positive
+            raise ConfigError(f"weight_decay must lie in [0, 1 / lr), got {self.weight_decay}")
         if self.eps_adam <= 0:  # AdamW divides 0 by eps for a parameter with no gradient yet
             raise ConfigError(f"eps_adam must be positive, got {self.eps_adam}")
 
@@ -102,31 +102,31 @@ class AdamW:
     """Decoupled weight decay, applied multiplicatively BEFORE the Adam
     update so a zero-gradient step is exactly theta * (1 - lr * wd).
     Decay touches only parameters flagged decay=True (weight matrices;
-    never biases, norm gains, or the classification token)."""
+    never biases, norm gains, or the classification token).
+
+    Construction re-homes the parameters onto one store: every ``p.data``
+    and ``p.grad`` becomes a view of the flat arrays ``data`` and ``grad``,
+    laid out in ``params`` order. Nothing may rebind them afterwards."""
 
     def __init__(self, params: Sequence, config: TrainConfig):
-        self.params = list(params)
         self.config = config
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.data, self.grad = ad._pack(params)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+        factor = 1.0 - config.lr * config.weight_decay  # 1.0 where decay is off: x * 1.0 is x
+        self.decay = np.concatenate([np.full(p.size, factor if p.decay else 1.0) for p in params])
 
     def step(self) -> None:
         cfg = self.config
         self.t += 1
         b1, b2 = cfg.betas
-        decay_factor = 1.0 - cfg.lr * cfg.weight_decay
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                raise ConfigError(f"parameter {p.name!r} has no gradient buffer")
-            g = p.grad
-            if p.decay and cfg.weight_decay > 0.0:
-                p.data *= decay_factor
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
-            m_hat = self.m[i] / (1.0 - b1 ** self.t)
-            v_hat = self.v[i] / (1.0 - b2 ** self.t)
-            p.data -= cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps_adam))
+        self.data *= self.decay
+        self.m = b1 * self.m + (1.0 - b1) * self.grad
+        self.v = b2 * self.v + (1.0 - b2) * (self.grad * self.grad)
+        m_hat = self.m / (1.0 - b1 ** self.t)
+        v_hat = self.v / (1.0 - b2 ** self.t)
+        self.data -= cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps_adam))
 
 
 class EarlyStopper:
@@ -195,15 +195,14 @@ def train(
     if X_tr.shape[0] != y_tr.shape[0] or X_val.shape[0] != y_val.shape[0]:
         raise ShapeError("features and labels disagree in length")
     weights = class_weights(y_tr)  # training portion only
-    params = model.parameters()
-    optimizer = AdamW(params, config)
+    optimizer = AdamW(model.parameters(), config)
     stopper = EarlyStopper(config.patience)
     shuffle_rng = stream_rng(config.seed, "shuffle")
     dropout_rng = stream_rng(config.seed, "dropout")
     n = X_tr.shape[0]
 
     log = TrainLog()
-    best_params: Optional[list] = None
+    best_params = optimizer.data.copy()  # overwritten at epoch 1, which always improves on inf
     stop_reason = "max_epochs"
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -211,8 +210,7 @@ def train(
         for lo in range(0, n, config.batch_size):  # last partial batch kept
             batch = order[lo : lo + config.batch_size]
             Xb, yb = X_tr[batch], y_tr[batch]
-            for p in params:
-                p.zero_grad()
+            optimizer.grad.fill(0.0)
             with Tape() as tape:
                 probs = model.forward_batch(Xb, training=True, rng=dropout_rng)
                 loss = balanced_bce(probs, yb, weights)
@@ -226,14 +224,12 @@ def train(
         log.val_losses.append(val_loss)
         should_stop = stopper.update(epoch, val_loss)
         if stopper.best_epoch == epoch:
-            best_params = [p.data.copy() for p in params]
+            best_params[...] = optimizer.data
         if should_stop:
             stop_reason = "early_stopping"
             break
 
-    if best_params is not None:
-        for p, saved in zip(params, best_params):
-            p.data[...] = saved
+    optimizer.data[...] = best_params
     log.best_epoch = stopper.best_epoch
     log.best_val_loss = stopper.best
     log.stop_reason = stop_reason

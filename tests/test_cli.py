@@ -694,6 +694,19 @@ def test_nonpositive_eps_adam_exits_2(data_path, tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_decay_factor_at_or_below_zero_exits_2(data_path, tmp_path, capsys, command):
+    # lr * weight_decay = 2: AdamW's decay factor 1 - lr * wd would flip every decayed weight
+    cfg = run_config_file(tmp_path, train_config={"max_epochs": 1, "lr": 0.5, "weight_decay": 4.0})
+    out = tmp_path / "o"
+    rc = main([command, "--config", cfg, "--data", data_path, "--target", "label", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "weight_decay must lie in [0, 1 / lr), got 4.0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

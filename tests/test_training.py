@@ -16,8 +16,8 @@ from tabformer.data import (
     stratified_holdout,
 )
 from tabformer.errors import ConfigError, DataError, ShapeError
-from tabformer.model import LogisticModel, Model, ModelConfig
-from tabformer.data import ColumnSchema, FeatureSchema, NUMERIC
+from tabformer.model import LogisticModel, MlpModel, Model, ModelConfig
+from tabformer.data import CATEGORICAL, ColumnSchema, FeatureSchema, NUMERIC
 from tabformer import training
 from tabformer.seeding import stream_rng
 from tabformer.training import (
@@ -35,6 +35,52 @@ def numeric_schema(n):
     return FeatureSchema(tuple(ColumnSchema(f"x{j}", NUMERIC) for j in range(n)))
 
 
+MIXED = FeatureSchema((
+    ColumnSchema("a", NUMERIC),
+    ColumnSchema("c1", CATEGORICAL, vocabulary=("u", "v", "w")),
+    ColumnSchema("b", NUMERIC),
+    ColumnSchema("c2", CATEGORICAL, vocabulary=("p", "q")),
+))
+SMALL = ModelConfig(embed_dim=16, n_heads=4, n_blocks=2, ffn_dim=32, dropout=0.1)
+# parameter lists an optimizer is built on: fresh ones per call, so a
+# packed list never leaks from one test into the next
+PARAMETER_LISTS = {
+    "default": lambda: Model(ModelConfig(), MIXED, seed=1).parameters(),
+    "small": lambda: Model(SMALL, MIXED, seed=2).parameters(),
+    "mlp": lambda: MlpModel(MIXED, seed=3).parameters(),
+    "loose": lambda: [Parameter(np.array([1.0, -2.0]), name="w", decay=True),
+                      Parameter(np.zeros((0, 3)), name="empty"),
+                      Parameter(np.array([[0.5], [4.0]]), name="b")],
+}
+
+
+class LoopAdamW:
+    """The per-parameter AdamW update that the flat store replaced, kept
+    as the reference that ``AdamW`` must match bit for bit."""
+
+    def __init__(self, params, config):
+        self.params = list(params)
+        self.config = config
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        cfg = self.config
+        self.t += 1
+        b1, b2 = cfg.betas
+        decay_factor = 1.0 - cfg.lr * cfg.weight_decay
+        for i, p in enumerate(self.params):
+            g = p.grad
+            if p.decay and cfg.weight_decay > 0.0:
+                p.data *= decay_factor
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            m_hat = self.m[i] / (1.0 - b1 ** self.t)
+            v_hat = self.v[i] / (1.0 - b2 ** self.t)
+            p.data -= cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps_adam))
+
+
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -47,6 +93,11 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(weight_decay=-0.1)
+        # a decay factor 1 - lr * wd at or below 0 would zero or flip every decayed weight
+        for lr, wd in ((0.5, 4.0), (0.5, 2.0), (1.0, 1.0)):
+            with pytest.raises(ConfigError, match=r"\[0, 1 / lr\)"):
+                TrainConfig(lr=lr, weight_decay=wd)
+        assert TrainConfig(lr=0.5, weight_decay=1.99).weight_decay == 1.99
 
     def test_defaults(self):
         cfg = TrainConfig()
@@ -197,6 +248,41 @@ class TestAdamW:
             tape.backward(loss)
         opt.step()
         assert batch_loss() < before
+
+    @pytest.mark.parametrize("kind", sorted(PARAMETER_LISTS))
+    def test_store_holds_every_parameter_as_a_view_in_order(self, kind):
+        params = PARAMETER_LISTS[kind]()
+        rng = np.random.default_rng(4)
+        for p in params:
+            p.grad[...] = rng.normal(size=p.shape)
+        values = [p.data.copy() for p in params]
+        grads = [p.grad.copy() for p in params]
+        opt = AdamW(params, TrainConfig())
+        pos = 0
+        for p, value, grad in zip(params, values, grads):
+            for view, store, before in ((p.data, opt.data, value), (p.grad, opt.grad, grad)):
+                assert view.base is store
+                assert p.size == 0 or view.ctypes.data == store.ctypes.data + 8 * pos
+                assert view.shape == before.shape and np.array_equal(view, before)
+            pos += p.size
+        assert opt.data.shape == opt.grad.shape == (pos,)
+
+    @pytest.mark.parametrize("weight_decay", [0.1, 0.0])
+    @pytest.mark.parametrize("kind", ["default", "small", "mlp"])
+    def test_flat_update_matches_per_parameter_loop_bitwise(self, kind, weight_decay):
+        cfg = TrainConfig(lr=0.01, weight_decay=weight_decay)
+        loop_params, flat_params = PARAMETER_LISTS[kind](), PARAMETER_LISTS[kind]()
+        loop, flat = LoopAdamW(loop_params, cfg), AdamW(flat_params, cfg)
+        rng = np.random.default_rng(5)
+        for step in range(300):
+            for p, q in zip(loop_params, flat_params):
+                # every 7th step, and one parameter in 5 on the others, has an all-zero gradient
+                zero = step % 7 == 0 or rng.random() < 0.2
+                p.grad[...] = q.grad[...] = 0.0 if zero else rng.normal(size=p.shape)
+            loop.step()
+            flat.step()
+        for p, q in zip(loop_params, flat_params):
+            assert np.array_equal(p.data, q.data), p.name
 
 
 class TestEarlyStopper:
