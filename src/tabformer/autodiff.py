@@ -54,7 +54,14 @@ allow 1e-12). Op and tile call one private kernel per rule:
 So that comparison checks tiling, layouts, GEMM order and rng use, not
 the formulas, which keep their own checks: softmax and layer norm
 against direct evaluation, scalar attention (acceptance criterion 02),
-``grad_check`` of every op, and dropout's scale.
+``grad_check`` of every op, and dropout's scale. Out rule: with no
+active tape, a fused op takes ``out=``, a C-contiguous float64 array of
+the output's size, and writes its output there; anything else, and any
+``out`` under a tape, is a ShapeError. ``out`` may be x's own buffer,
+because each tile reads its own rows of x before it writes them and no
+tile reads another's rows, so an eval forward can carry one residual
+buffer through every block. Without ``out`` an op never writes into
+its input.
 
 Last-token rule. ``attention_sublayer(..., last_only=True)`` returns
 the last token's row only, [..., 1, d]: every token is normalised and
@@ -760,7 +767,9 @@ def feature_tokens(x: np.ndarray, numeric_idx, categorical_idx, sizes, params: S
     rows = codes.astype(np.intp) + (np.cumsum(sizes) - sizes)
     xn = x[:, num]
     data = np.empty((n, f + 1, d))
-    data[:, num] = xn[:, :, None] * w.data + b.data
+    for k, j in enumerate(num):  # x * w + b written in place: no (n, f, d) temporaries
+        np.multiply(xn[:, k, None], w.data[k], out=data[:, j])
+        data[:, j] += b.data[k]
     data[:, cat] = table.data[rows]
     data[:, f] = cls.data
 
@@ -907,6 +916,27 @@ def _sublayer_input(op, x, ln_g, ln_b, eps, rate, rng):
     return x.data.reshape((-1,) + x.data.shape[-2:])
 
 
+def _out_buffer(op, out, shape):
+    """A new array of ``shape``, or ``out`` viewed as one: accepted only
+    with no active tape, and only as a C-contiguous float64 array of that
+    many elements."""
+    if out is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    if (
+        active_tape() is not None
+        or not isinstance(out, np.ndarray)
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+        or out.size != size
+    ):
+        raise ShapeError(
+            f"{op} writes into out only with no tape and only a C-contiguous float64 array "
+            f"of {size} elements"
+        )
+    return out.reshape(shape)
+
+
 def _ln_residual_vjp(og, g_ln, gain, xhat, inv, rows, shape):
     """Gradients of x + f(layer_norm(x)) given ``og`` for the sum and
     ``g_ln`` for the norm's output: (x, gain, bias). When the sum kept
@@ -927,7 +957,7 @@ def _ln_residual_vjp(og, g_ln, gain, xhat, inv, rows, shape):
 
 
 def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rate=0.0, rng=None,
-                       last_only=False):
+                       last_only=False, out=None):
     """x + dropout(MHSA(layer_norm(x))) as one op, for x[..., t, d].
 
     The composite it replaces: ``layer_norm``; ``matmul`` by w_q, w_k and
@@ -941,6 +971,9 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
     that token's row, [..., 1, d]: the last row of the full output.
     Every token is still normalised and projected to keys and values,
     and both masks are still drawn at their full shapes.
+
+    ``out``, with no tape, receives the output (the out rule in the
+    module docstring); it may be x's own buffer.
     """
     xs = _sublayer_input("attention_sublayer", x, ln_g, ln_b, eps, rate, rng)
     n, t, d = xs.shape
@@ -951,6 +984,7 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
             raise ShapeError(f"attention_sublayer needs ({d}, {d}) projections, got {w.shape}")
     tq = 1 if last_only else t  # query rows: the last tq tokens
     qs = slice(t - tq, t)
+    out = _out_buffer("attention_sublayer", out, (n, tq, d))
     h, scale, keep_p, keep_o = n_heads, 1.0 / (1.0 - rate), None, None
     if rate > 0.0:
         keep_p = rng.random((h, n, t, t))[:, :, qs] >= rate
@@ -961,7 +995,6 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
     # scratch: hn; saved: xhat, inv, k, v; q, ctx and the scores
     # (sample-major) for the query rows
     scratch, saved = [(t, d)], [(t, d), (t, 1), (t, d), (t, d), (tq, d), (tq, d), (h, tq, t)]
-    out = np.empty((n, tq, d))
 
     def tile(lo, hi, bufs):
         hn, xhat, inv, k, v, q, ctx, s = bufs
@@ -1017,7 +1050,8 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
     return _emit("attention_sublayer", out.reshape(x.shape[:-2] + (tq, d)), inputs, vjp)
 
 
-def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, mask_tokens=None):
+def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, mask_tokens=None,
+                 out=None):
     """x + dropout(GELU(layer_norm(x) W1 + b1) W2 + b2) as one op, for x[..., t, d].
 
     The composite it replaces: ``layer_norm``; ``matmul`` and
@@ -1028,6 +1062,9 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
     ``mask_tokens``, when x holds only the last t of that many tokens
     (the output of a ``last_only`` attention sublayer), is the token
     count the mask is drawn for; x uses its last t rows.
+
+    ``out``, with no tape, receives the output (the out rule in the
+    module docstring); it may be x's own buffer.
 
     The GELU runs the composite's kernels (``_gelu_kernel``,
     ``_gelu_slope``) on each tile. Under a tape the op keeps the
@@ -1051,6 +1088,7 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
             f"ffn_sublayer needs w1[{d}, f], b1[f], w2[f, {d}], b2[{d}]; "
             f"got {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}"
         )
+    out = _out_buffer("ffn_sublayer", out, (n, t, d))
     scale, keep_o = 1.0 / (1.0 - rate), None
     if rate > 0.0:
         keep_o = rng.random((n, drawn, d))[:, drawn - t:] >= rate
@@ -1059,7 +1097,6 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
     # the activation and, for the vjp only, GELU's slope
     scratch = [(t, d), (t, f), (t, f)]
     saved = [(t, d), (t, 1), (t, f)] + ([(t, f)] if active_tape() is not None else [])
-    out = np.empty((n, t, d))
 
     def tile(lo, hi, bufs):
         hn, pre, gauss, xhat, inv, act, *slope = bufs

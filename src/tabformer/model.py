@@ -190,7 +190,12 @@ class TransformerBlock:
     ``last_only`` the block returns the last token's row only,
     [..., 1, d]: every token still feeds keys and values, and the
     dropout masks are still drawn at their full shapes (the last-token
-    rule in ``autodiff``).
+    rule in ``autodiff``). With ``in_place``, allowed only when no tape
+    is active, the block writes its result into x's own buffer (the out
+    rule in ``autodiff``): a full attention sublayer overwrites x, and
+    the FFN overwrites the attention output, which is a new one-row
+    array under ``last_only``. The bytes are those of the allocating
+    path; by default x is left unchanged.
 
     Attention runs all heads as one batch. q, k and v come from the
     three d x d projections and are split into heads with the head axis
@@ -242,17 +247,19 @@ class TransformerBlock:
             probs = ad.dropout(probs, cfg.dropout, rng, training=True)
         return ad.matmul(ad.merge_heads(ad.matmul(probs, heads(self.w_v))), self.w_o)
 
-    def forward(self, x: Tensor, training: bool = False, rng=None, last_only: bool = False) -> Tensor:
+    def forward(self, x: Tensor, training: bool = False, rng=None, last_only: bool = False,
+                in_place: bool = False) -> Tensor:
         cfg = self.config
         eps, rate = cfg.layer_norm_eps, cfg.dropout if training else 0.0
         tokens = x.shape[-2]
         x = ad.attention_sublayer(
             x, self.ln1_g, self.ln1_b, self.w_q, self.w_k, self.w_v, self.w_o,
             cfg.n_heads, eps, rate, rng, last_only=last_only,
+            out=x.data if in_place and not last_only else None,
         )
         return ad.ffn_sublayer(
             x, self.ln2_g, self.ln2_b, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2,
-            eps, rate, rng, mask_tokens=tokens,
+            eps, rate, rng, mask_tokens=tokens, out=x.data if in_place else None,
         )
 
 
@@ -289,7 +296,11 @@ class Model(ScoringModel):
     """Full tabular transformer. The head reads only the classification
     token, so the last block runs with ``last_only`` and computes that
     token's row alone; every block still runs through
-    ``TransformerBlock.forward``."""
+    ``TransformerBlock.forward``. A forward with no active tape, such as
+    ``predict_proba``, runs the blocks ``in_place``: the tokenizer's
+    output is the one [n, t, d] buffer, carried through every block as
+    the residual stream. Under a tape, in train or eval mode, every op
+    makes a fresh output, so saved state and gradients do not change."""
 
     kind = "transformer"
 
@@ -321,10 +332,10 @@ class Model(ScoringModel):
             x = self.tokenizer.forward_batch(X)
         except NumericError as exc:
             raise NumericError(f"tokenizer: {exc}") from None
-        last = len(self.blocks) - 1
+        last, in_place = len(self.blocks) - 1, ad.active_tape() is None
         for i, blk in enumerate(self.blocks):
             try:
-                x = blk.forward(x, training, rng, last_only=i == last)
+                x = blk.forward(x, training, rng, last_only=i == last, in_place=in_place)
             except NumericError as exc:
                 raise NumericError(f"block {i}: {exc}") from None
         try:

@@ -114,8 +114,8 @@ def test_model_logits_match_the_full_path(name, training, monkeypatch):
         with monkeypatch.context() as m:
             forward = TransformerBlock.forward
 
-            def full(self, x, training=False, rng=None, last_only=False):
-                out = forward(self, x, training, rng)
+            def full(self, x, training=False, rng=None, last_only=False, in_place=False):
+                out = forward(self, x, training, rng)  # the allocating full path, whatever in_place says
                 return last_row(out) if last_only else out
 
             m.setattr(TransformerBlock, "forward", full)
