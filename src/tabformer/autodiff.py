@@ -33,35 +33,47 @@ Fused ops. ``attention_sublayer`` and ``ffn_sublayer`` each run one
 pre-norm residual sublayer of a transformer block as a single op with
 a hand-written ``vjp`` over the buffers its forward pass saved, and
 one finiteness check on its output. Tiling rule: they walk the leading
-(sample) axis in tiles of ``_tile_rows`` samples, sized so that one
-sample's widest intermediate times the tile stays within a fixed
-element budget (no setting). ``_each_tile`` drives every tile loop and
-makes its buffers: under a tape a tile writes its rows of the
+(sample) axis in equal tiles. ``_tile_rows`` is the most samples whose
+widest intermediate fits a fixed element budget (no setting), and
+``_tile_bounds`` cuts n samples into k tiles whose sizes differ by at
+most one: k = ceil(n / rows), capped at n // 2, so a tile holds at
+least 2 samples (a lone sample is one tile) and the count does not
+depend on the number of workers. ``_each_tile`` drives every tile loop
+and makes its buffers: under a tape a tile writes its rows of the
 full-batch buffers that the vjp reads, and every other buffer, with no
 tape every buffer, is per-thread scratch. A fused op saves only what
 its vjp reads. Of layer norm that is the normalised input and 1/std,
 from which the vjp rebuilds the norm's output with the forward pass's
 bits; of the FFN's GELU, the activation and the slope. The weight,
 bias and gain gradients are full-batch reductions, and so are the
-vjp's input-gradient GEMMs. Oracle rule: the primitive ops stay, and a
-fused op must equal its composite of primitives bit for bit in the
-forward pass, draw its dropout masks by the same ``rng.random`` calls
-in the same order, and match the composite's gradients (the tests
-allow 1e-12). Op and tile call one private kernel per rule:
-``_softmax`` and ``_softmax_grad``; ``_ln_check``, ``_ln_rows``,
-``_ln_affine`` and ``_ln_grad``; ``_dropped`` for every dropout mask;
-``_heads`` for the head split; ``_gelu_kernel`` and ``_gelu_slope``.
-So that comparison checks tiling, layouts, GEMM order and rng use, not
-the formulas, which keep their own checks: softmax and layer norm
-against direct evaluation, scalar attention (acceptance criterion 02),
-``grad_check`` of every op, and dropout's scale. Out rule: with no
-active tape, a fused op takes ``out=``, a C-contiguous float64 array of
-the output's size, and writes its output there; anything else, and any
-``out`` under a tape, is a ShapeError. ``out`` may be x's own buffer,
-because each tile reads its own rows of x before it writes them and no
-tile reads another's rows, so an eval forward can carry one residual
-buffer through every block. Without ``out`` an op never writes into
-its input.
+vjp's input-gradient GEMMs. Workspace rule: the vjps take their
+full-batch temporaries (the dropped output gradient; the context,
+query, key and value gradients; the FFN's activation gradient; the
+rebuilt layer-norm output and its gradient) from ``_workspace``, six
+slots per thread that keep their largest size between calls and are
+shared by every vjp on that thread. A slot never holds a returned
+gradient or a buffer the forward pass saved, and a vjp joins every
+helper that reads a slot before it returns. Oracle rule: the primitive
+ops stay, and a fused op must equal its composite of primitives bit
+for bit in the forward pass, draw its dropout masks by the same
+``rng.random`` calls in the same order, and match the composite's
+gradients (the tests allow 1e-12). Op and tile call one private kernel
+per rule: ``_softmax`` and ``_softmax_grad``, which reduce rows with
+``_row_max`` and ``_row_sum`` (numpy's bits, unrolled over a short
+row); ``_ln_check``, ``_ln_rows``, ``_ln_affine`` and ``_ln_grad``;
+``_dropped`` for every dropout mask; ``_heads`` for the head split;
+``_gelu_kernel`` and ``_gelu_slope``. So that comparison checks
+tiling, layouts, GEMM order and rng use, not the formulas, which keep
+their own checks: softmax and layer norm against direct evaluation,
+scalar attention (acceptance criterion 02), ``grad_check`` of every
+op, and dropout's scale. Out rule: with no active tape, a fused op
+takes ``out=``, a C-contiguous float64 array of the output's size, and
+writes its output there; anything else, and any ``out`` under a tape,
+is a ShapeError. ``out`` may be x's own buffer, because each tile
+reads its own rows of x before it writes them and no tile reads
+another's rows, so an eval forward can carry one residual buffer
+through every block. Without ``out`` an op never writes into its
+input.
 
 Last-token rule. ``attention_sublayer(..., last_only=True)`` returns
 the last token's row only, [..., 1, d]: every token is normalised and
@@ -408,18 +420,57 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _emit("add_bias", data, (x, b), vjp)
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``, as one ``np.maximum`` per column:
+    numpy reduces a short last axis far more slowly. Only the sign of a
+    zero maximum may differ from numpy's (its SIMD width picks it), which
+    softmax cannot see: x - 0 and x - (-0) have the same exponential; and
+    a NaN is a NaN, as in numpy."""
+    if x.shape[-1] < 2:
+        return x.max(axis=-1, keepdims=True)
+    m = np.maximum(x[..., :1], x[..., 1:2])
+    for j in range(2, x.shape[-1]):
+        np.maximum(m, x[..., j : j + 1], out=m)
+    return m
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, keepdims=True)`` bit for bit (a NaN's sign bit
+    aside, which follows the C compiler's operand order), unrolled for a last
+    axis of at most 16 in numpy's own order: +0 plus, below 8 columns, the
+    columns in turn; otherwise 8 partial sums over blocks of 8 columns,
+    added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    tail columns in turn."""
+    t = x.shape[-1]
+    if t > 16:
+        return x.sum(axis=-1, keepdims=True)
+    cols = [x[..., j : j + 1] for j in range(t)]
+    if t < 8:
+        s = cols[0] + 0.0  # numpy starts from +0, which turns only -0 into +0
+        for c in cols[1:]:
+            s += c
+        return s
+    r = cols[:8] if t < 16 else [a + b for a, b in zip(cols[:8], cols[8:])]
+    s = (r[0] + r[1]) + (r[2] + r[3])
+    s += (r[4] + r[5]) + (r[6] + r[7])
+    for c in cols[8 * (t // 8):]:
+        s += c
+    s += 0.0
+    return s
+
+
 def _softmax(x: np.ndarray, out: np.ndarray):
     """out = softmax of x over its last axis, max-subtracted; ``out`` may be ``x``."""
-    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.subtract(x, _row_max(x), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= _row_sum(out)
 
 
 def _softmax_grad(s: np.ndarray, og: np.ndarray) -> np.ndarray:
     """The gradient of softmax's input, s * (og - sum(og * s)), from its
     output ``s``, in one new array."""
     g = og * s
-    np.subtract(og, g.sum(axis=-1, keepdims=True), out=g)
+    np.subtract(og, _row_sum(g), out=g)
     g *= s
     return g
 
@@ -611,12 +662,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _emit("layer_norm", data, (x, gain, bias), vjp)
 
 
-def _dropped(a: np.ndarray, keep: Optional[np.ndarray], scale: float) -> np.ndarray:
-    """``a`` itself when ``keep`` is None, else a * keep * scale in one new
-    array: a dropped element becomes a zero of a's sign."""
+def _dropped(a: np.ndarray, keep: Optional[np.ndarray], scale: float, out=None) -> np.ndarray:
+    """``a`` itself when ``keep`` is None, else a * keep * scale in one
+    array, ``out`` when given: a dropped element becomes a zero of a's
+    sign."""
     if keep is None:
         return a
-    out = np.multiply(a, keep)
+    out = np.multiply(a, keep, out=out)
     out *= scale
     return out
 
@@ -843,46 +895,77 @@ def _spawn(fn: Callable) -> Callable:
     return lambda: fn() if future.cancel() else future.result()
 
 
+def _tile_bounds(n: int, rows: int) -> list[int]:
+    """The k + 1 bounds of ``n`` samples cut into k equal tiles of at most
+    ``rows`` samples: k = ceil(n / rows), capped at n // 2 (at least 1)
+    so that a tile holds at least 2 samples whenever n does. Tile i is
+    [n * i // k, n * (i + 1) // k); no samples make no tile."""
+    k = min(-(-n // rows), max(1, n // 2))
+    return [n * i // k for i in range(k + 1)] if k else [0]
+
+
 def _each_tile(n: int, rows: int, body, scratch=(), saved=()):
-    """Call ``body(lo, hi, bufs)`` for every tile [lo, hi) of ``n``
-    samples, claimed in turn by the calling thread and its helpers.
-    ``scratch`` and ``saved`` are per-sample buffer shapes, and ``bufs``
-    holds the tile's rows of each, scratch first. Under a tape the saved
-    buffers are made full-batch and returned, for the vjp to read, and
-    ``bufs`` holds their rows lo:hi. Every other buffer, and with no tape
-    every buffer, is per-thread scratch: a thread makes one set of
-    ``min(n, rows)`` samples on the first tile it claims, and ``bufs``
-    holds the first hi - lo rows of it. Once a tile raises, no more are
-    claimed, and the error is raised after every helper has returned."""
+    """Call ``body(lo, hi, bufs)`` for every tile [lo, hi) of
+    ``_tile_bounds(n, rows)``, claimed in turn by the calling thread and
+    its helpers. ``scratch`` and ``saved`` are per-sample buffer shapes,
+    and ``bufs`` holds the tile's rows of each, scratch first. Under a
+    tape the saved buffers are made full-batch and returned, for the vjp
+    to read, and ``bufs`` holds their rows lo:hi. Every other buffer, and
+    with no tape every buffer, is per-thread scratch: a thread makes one
+    set of the largest tile's samples on the first tile it claims, and
+    ``bufs`` holds the first hi - lo rows of it. Once a tile raises, no
+    more are claimed, and the error is raised after every helper has
+    returned."""
     taped = active_tape() is not None
     kept = [np.empty((n,) + shape) for shape in saved] if taped else []
     per_thread = list(scratch) + ([] if taped else list(saved))
-    los, lock, errors = iter(range(0, n, rows)), threading.Lock(), []
+    bounds = _tile_bounds(n, rows)
+    tiles, lock, errors = iter(zip(bounds, bounds[1:])), threading.Lock(), []
+    widest = max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0)
 
     def drain():
         own = None
         try:
             while True:
                 with lock:
-                    lo = None if errors else next(los, None)
-                if lo is None:
+                    tile = None if errors else next(tiles, None)
+                if tile is None:
                     return
-                hi = min(n, lo + rows)
+                lo, hi = tile
                 if own is None:
-                    own = [np.empty((min(n, rows),) + shape) for shape in per_thread]
+                    own = [np.empty((widest,) + shape) for shape in per_thread]
                 body(lo, hi, [b[: hi - lo] for b in own] + [b[lo:hi] for b in kept])
         except BaseException as exc:  # raised by the caller once every helper is joined
             errors.append(exc)
 
     # the caller's drain returns once no tile is left to claim, so joining
     # a helper that never started runs a drain with nothing to do
-    joins = [_spawn(drain) for _ in range(min(_WORKERS - 1, (n - 1) // rows))]
+    joins = [_spawn(drain) for _ in range(min(_WORKERS, len(bounds) - 1) - 1)]
     drain()
     for join in joins:
         join()
     if errors:
         raise errors[0]
     return kept if taped else None
+
+
+_LOCAL = threading.local()  # this thread's vjp workspace
+
+
+def _workspace(slot: int, shape: tuple) -> np.ndarray:
+    """Slot ``slot`` of this thread's vjp workspace as an array of
+    ``shape``. A slot keeps the largest buffer it has been asked for
+    between calls, and a smaller request gets a view of its start, so
+    what the vjps put there is allocated once, not on every backward
+    pass. The caller must be done with what it last put in the slot."""
+    slots = getattr(_LOCAL, "slots", None)
+    if slots is None:
+        slots = _LOCAL.slots = []
+    slots += [np.empty(0)] * (slot + 1 - len(slots))
+    size = math.prod(shape)
+    if slots[slot].size < size:
+        slots[slot] = np.empty(size)
+    return slots[slot][:size].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -901,9 +984,10 @@ _TILE_ELEMENTS = 1 << 16
 
 
 def _tile_rows(width: int) -> int:
-    """Samples per tile when one sample's widest intermediate holds
-    ``width`` elements: 81 (attention) and 51 (FFN) samples at the
-    default configuration with 10 tokens."""
+    """The most samples a tile may hold when one sample's widest
+    intermediate holds ``width`` elements: 81 (attention) and 51 (FFN)
+    at the default configuration with 10 tokens, which ``_tile_bounds``
+    turns into 4 tiles of 64 and 6 of 42 or 43 at 256 samples."""
     return max(1, _TILE_ELEMENTS // width)
 
 
@@ -1015,10 +1099,13 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
 
     def vjp(og):
         xhat, inv, k, v, q, ctx, s = kept
-        g_o = _dropped(og.reshape(n, tq, d), keep_o, scale).reshape(-1, d)
+        # workspace slots: 0 g_o; 1 g_ctx, then hn; 2 g_q; 3 g_v; 4 g_kt,
+        # then g_hn; 5 g_k (g_hn's when g_k is a view of slot 4)
+        g_o = _dropped(og.reshape(n, tq, d), keep_o, scale, _workspace(0, (n, tq, d))).reshape(-1, d)
         g_w_o = _spawn(lambda: ctx.reshape(-1, d).T @ g_o)
-        g_ctx = (g_o @ w_o.data.T).reshape(n, tq, d)
-        g_q, g_v, g_kt = np.empty((n, tq, d)), np.empty((n, t, d)), np.empty((h, n, d // h, t))
+        g_ctx = np.matmul(g_o, w_o.data.T, out=_workspace(1, (n * tq, d))).reshape(n, tq, d)
+        g_q, g_v = _workspace(2, (n, tq, d)), _workspace(3, (n, t, d))
+        g_kt = _workspace(4, (h, n, d // h, t))
 
         def tile(lo, hi, _):
             sc, gc = np.swapaxes(s[lo:hi], 0, 1), _heads(g_ctx[lo:hi], h)
@@ -1031,16 +1118,19 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
             np.matmul(np.swapaxes(_heads(q[lo:hi], h), -1, -2), g_sc, out=g_kt[:, lo:hi])
 
         _each_tile(n, rows, tile)
-        del g_ctx
-        # the composite's layout of K's gradient (a strided view for n = 1)
-        g_k = np.moveaxis(np.swapaxes(g_kt, -1, -2), 0, -2).reshape(-1, d)
-        del g_kt
+        # the composite's layout of K's gradient: C order, which reshape
+        # copies into, or for n = 1 a strided view that it keeps
+        g_k = np.moveaxis(np.swapaxes(g_kt, -1, -2), 0, -2)
+        if n > 1:
+            g_k, src = _workspace(5, g_k.shape), g_k
+            g_k[...] = src
+        g_k = g_k.reshape(-1, d)
         g_q, g_v = g_q.reshape(-1, d), g_v.reshape(-1, d)
-        hn = _ln_affine(xhat, ln_g.data, ln_b.data)
+        hn = _ln_affine(xhat, ln_g.data, ln_b.data, _workspace(1, (n, t, d)))
         h2, hq = hn.reshape(-1, d), hn[:, qs].reshape(-1, d)
         g_w = [_spawn(lambda a=a, g=g: a.T @ g) for a, g in ((hq, g_q), (h2, g_k), (h2, g_v))]
         # the tape's fan-out order into the layer-norm output: (v + k) + q
-        g_hn = (g_v @ w_v.data.T).reshape(n, t, d)
+        g_hn = np.matmul(g_v, w_v.data.T, out=_workspace(4 if n > 1 else 5, (n * t, d))).reshape(n, t, d)
         g_hn += (g_k @ w_k.data.T).reshape(n, t, d)
         g_hn[:, qs] += (g_q @ w_q.data.T).reshape(n, tq, d)
         g_x = _ln_residual_vjp(og.reshape(n, tq, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
@@ -1116,20 +1206,23 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
     def vjp(og):
         xhat, inv, act, slope = kept
         lead = tuple(range(x.data.ndim - 1))
-        g_o = _dropped(og.reshape(n, t, d), keep_o, scale).reshape(-1, d)
+        # workspace slots, as the attention vjp numbers them: 0 g_o; 1 hn;
+        # 2 g_u; 3 g_hn
+        g_o = _dropped(og.reshape(n, t, d), keep_o, scale, _workspace(0, (n, t, d))).reshape(-1, d)
         g_w2 = _spawn(lambda: act.reshape(-1, f).T @ g_o)
         g_b2 = _spawn(lambda: g_o.reshape(x.shape).sum(axis=lead))
-        g_u = (g_o @ w2.data.T).reshape(n, t, f)  # the activation's gradient, until the tiles run
+        # the activation's gradient, until the tiles run
+        g_u = np.matmul(g_o, w2.data.T, out=_workspace(2, (n * t, f))).reshape(n, t, f)
 
         def tile(lo, hi, _):
             g_u[lo:hi] *= slope[lo:hi]
 
         _each_tile(n, rows, tile)
         g_u = g_u.reshape(-1, f)
-        hn = _ln_affine(xhat, ln_g.data, ln_b.data)
+        hn = _ln_affine(xhat, ln_g.data, ln_b.data, _workspace(1, (n, t, d)))
         g_w1 = _spawn(lambda: hn.reshape(-1, d).T @ g_u)
         g_b1 = _spawn(lambda: g_u.reshape(x.shape[:-1] + (f,)).sum(axis=lead))
-        g_hn = (g_u @ w1.data.T).reshape(n, t, d)
+        g_hn = np.matmul(g_u, w1.data.T, out=_workspace(3, (n * t, d))).reshape(n, t, d)
         g_x = _ln_residual_vjp(og.reshape(n, t, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
         return g_x + (g_w1(), g_b1(), g_w2(), g_b2())
 

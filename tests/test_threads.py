@@ -71,11 +71,18 @@ def test_fused_ops_are_bitwise_equal_for_one_and_two_workers(kind, rate, monkeyp
     assert len(threads) > 1  # a helper thread ran some tiles
 
 
+# (training, samples): 600, and odd, even and one past a tile budget
+LAST_ONLY = [(training, n) for n in (600, 255, 256, 257, 513) for training in (False, True)]
+
+
 @needs_two_cpus
-@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
-def test_last_only_block_is_bitwise_equal_for_one_and_two_workers(training, monkeypatch):
+@pytest.mark.parametrize(
+    "training, n", LAST_ONLY,
+    ids=[("train" if training else "eval") + ("" if n == 600 else f"-{n}") for training, n in LAST_ONLY],
+)
+def test_last_only_block_is_bitwise_equal_for_one_and_two_workers(training, n, monkeypatch):
     blk = TransformerBlock(CFG, np.random.default_rng(0), index=0)
-    x0 = np.random.default_rng(1).normal(size=(600, 10, CFG.embed_dim))
+    x0 = np.random.default_rng(1).normal(size=(n, 10, CFG.embed_dim))
 
     def outputs():
         x = Tensor(x0, requires_grad=True)
