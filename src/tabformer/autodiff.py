@@ -46,23 +46,22 @@ its vjp reads. Of layer norm that is the normalised input and 1/std,
 from which the vjp rebuilds the norm's output with the forward pass's
 bits; of the FFN's GELU, the activation and the slope. The weight,
 bias and gain gradients are full-batch reductions, and so are the
-vjp's input-gradient GEMMs. Workspace rule: the vjps take their
+vjp's input-gradient GEMMs. Workspace rule: a vjp call takes its
 full-batch temporaries (the dropped output gradient; the context,
 query, key and value gradients; the FFN's activation gradient; the
-rebuilt layer-norm output and its gradient) from ``_workspace``, six
-slots per thread that keep their largest size between calls and are
-shared by every vjp on that thread. A slot never holds a returned
-gradient or a buffer the forward pass saved, and a vjp joins every
-helper that reads a slot before it returns. Oracle rule: the primitive
-ops stay, and a fused op must equal its composite of primitives bit
-for bit in the forward pass, draw its dropout masks by the same
-``rng.random`` calls in the same order, and match the composite's
-gradients (the tests allow 1e-12). Op and tile call one private kernel
-per rule: ``_softmax`` and ``_softmax_grad``, which reduce rows with
-``_row_max`` and ``_row_sum`` (numpy's bits, unrolled over a short
-row); ``_ln_check``, ``_ln_rows``, ``_ln_affine`` and ``_ln_grad``;
-``_dropped`` for every dropout mask; ``_heads`` for the head split;
-``_gelu_kernel`` and ``_gelu_slope``. So that comparison checks
+rebuilt layer-norm output and its gradient) from ``_workspace()``, as
+disjoint stretches of one per-thread buffer that keeps its largest
+size between calls. A take never holds a returned gradient or a buffer
+the forward pass saved, and a vjp joins every helper that reads a take
+before it returns. Oracle rule: the primitive ops stay, and a fused op
+must equal its composite of primitives bit for bit in the forward pass
+and in its input and parameter gradients, and draw its dropout masks
+by the same ``rng.random`` calls in the same order. Op and tile call
+one private kernel per rule: ``_softmax`` and ``_softmax_grad``, which
+reduce rows with ``_row_max`` and ``_row_sum`` (numpy's bits, unrolled
+over a short row); ``_ln_check``, ``_ln_rows``, ``_ln_affine`` and
+``_ln_grad``; ``_dropped`` for every dropout mask; ``_heads`` for the
+head split; ``_gelu_kernel`` and ``_gelu_slope``. So that comparison checks
 tiling, layouts, GEMM order and rng use, not the formulas, which keep
 their own checks: softmax and layer norm against direct evaluation,
 scalar attention (acceptance criterion 02), ``grad_check`` of every
@@ -949,23 +948,36 @@ def _each_tile(n: int, rows: int, body, scratch=(), saved=()):
     return kept if taped else None
 
 
-_LOCAL = threading.local()  # this thread's vjp workspace
+class _Workspace(threading.local):
+    buf, need = np.empty(0), 0  # this thread's vjp buffer; the most one call took
 
 
-def _workspace(slot: int, shape: tuple) -> np.ndarray:
-    """Slot ``slot`` of this thread's vjp workspace as an array of
-    ``shape``. A slot keeps the largest buffer it has been asked for
-    between calls, and a smaller request gets a view of its start, so
-    what the vjps put there is allocated once, not on every backward
-    pass. The caller must be done with what it last put in the slot."""
-    slots = getattr(_LOCAL, "slots", None)
-    if slots is None:
-        slots = _LOCAL.slots = []
-    slots += [np.empty(0)] * (slot + 1 - len(slots))
-    size = math.prod(shape)
-    if slots[slot].size < size:
-        slots[slot] = np.empty(size)
-    return slots[slot][:size].reshape(shape)
+_LOCAL = _Workspace()
+
+
+def _workspace() -> Callable[[tuple], np.ndarray]:
+    """A ``take(shape)`` for one vjp call: each take is an array of
+    ``shape`` on the next unused stretch of this thread's buffer, so what
+    the vjps take is allocated once, not on every backward pass. A take
+    that does not fit is a new array (a buffer grown mid-call would keep
+    the old one alive under the earlier takes), and the next call starts
+    with a buffer as large as this call took. The previous call on the
+    thread must be done with its takes."""
+    if _LOCAL.buf.size < _LOCAL.need:
+        _LOCAL.buf = None  # free the smaller buffer before making the larger one
+        _LOCAL.buf = np.empty(_LOCAL.need)
+    buf, used = _LOCAL.buf, 0
+
+    def take(shape):
+        nonlocal used
+        size = math.prod(shape)
+        used += size
+        if used <= buf.size:
+            return buf[used - size:used].reshape(shape)
+        _LOCAL.need = used  # more than any call before took
+        return np.empty(shape)
+
+    return take
 
 
 # ---------------------------------------------------------------------------
@@ -975,10 +987,10 @@ def _workspace(slot: int, shape: tuple) -> np.ndarray:
 # rows at a time. The forward GEMMs (x @ W) run per tile: OpenBLAS gives
 # every row the same bits at any row count for the widths the tests
 # cover (multiples of 8). The vjp's input-gradient GEMMs (og @ W^T) run
-# full-batch on the composite's own operand layouts, because OpenBLAS
-# computes og @ W^T for a small row count with another kernel, whose
-# last bits differ. A gradient that fans out is summed in the tape's
-# order.
+# full-batch on the composite's own operand layouts, into which the
+# tiles write K's gradient, because OpenBLAS computes og @ W^T for a
+# small row count with another kernel, whose last bits differ. A
+# gradient that fans out is summed in the tape's order.
 
 _TILE_ELEMENTS = 1 << 16
 
@@ -1099,13 +1111,14 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
 
     def vjp(og):
         xhat, inv, k, v, q, ctx, s = kept
-        # workspace slots: 0 g_o; 1 g_ctx, then hn; 2 g_q; 3 g_v; 4 g_kt,
-        # then g_hn; 5 g_k (g_hn's when g_k is a view of slot 4)
-        g_o = _dropped(og.reshape(n, tq, d), keep_o, scale, _workspace(0, (n, tq, d))).reshape(-1, d)
+        take = _workspace()
+        g_o = _dropped(og.reshape(n, tq, d), keep_o, scale, take((n, tq, d))).reshape(-1, d)
         g_w_o = _spawn(lambda: ctx.reshape(-1, d).T @ g_o)
-        g_ctx = np.matmul(g_o, w_o.data.T, out=_workspace(1, (n * tq, d))).reshape(n, tq, d)
-        g_q, g_v = _workspace(2, (n, tq, d)), _workspace(3, (n, t, d))
-        g_kt = _workspace(4, (h, n, d // h, t))
+        g_ctx = np.matmul(g_o, w_o.data.T, out=take((n * tq, d))).reshape(n, tq, d)
+        g_q, g_v = take((n, tq, d)), take((n, t, d))
+        # K's gradient in the composite's layout: C order, or for n = 1 the
+        # strided view that the composite's reshape keeps
+        g_k = take((d, t)).T[None] if n == 1 else take((n, t, d))
 
         def tile(lo, hi, _):
             sc, gc = np.swapaxes(s[lo:hi], 0, 1), _heads(g_ctx[lo:hi], h)
@@ -1115,22 +1128,15 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
             g_sc = _softmax_grad(sc, g_p)
             g_sc *= score_scale
             np.matmul(g_sc, _heads(k[lo:hi], h), out=_heads(g_q[lo:hi], h))
-            np.matmul(np.swapaxes(_heads(q[lo:hi], h), -1, -2), g_sc, out=g_kt[:, lo:hi])
+            np.matmul(np.swapaxes(g_sc, -1, -2), _heads(q[lo:hi], h), out=_heads(g_k[lo:hi], h))
 
         _each_tile(n, rows, tile)
-        # the composite's layout of K's gradient: C order, which reshape
-        # copies into, or for n = 1 a strided view that it keeps
-        g_k = np.moveaxis(np.swapaxes(g_kt, -1, -2), 0, -2)
-        if n > 1:
-            g_k, src = _workspace(5, g_k.shape), g_k
-            g_k[...] = src
-        g_k = g_k.reshape(-1, d)
-        g_q, g_v = g_q.reshape(-1, d), g_v.reshape(-1, d)
-        hn = _ln_affine(xhat, ln_g.data, ln_b.data, _workspace(1, (n, t, d)))
+        g_q, g_k, g_v = (g.reshape(-1, d) for g in (g_q, g_k, g_v))
+        hn = _ln_affine(xhat, ln_g.data, ln_b.data, take((n, t, d)))
         h2, hq = hn.reshape(-1, d), hn[:, qs].reshape(-1, d)
         g_w = [_spawn(lambda a=a, g=g: a.T @ g) for a, g in ((hq, g_q), (h2, g_k), (h2, g_v))]
         # the tape's fan-out order into the layer-norm output: (v + k) + q
-        g_hn = np.matmul(g_v, w_v.data.T, out=_workspace(4 if n > 1 else 5, (n * t, d))).reshape(n, t, d)
+        g_hn = np.matmul(g_v, w_v.data.T, out=take((n * t, d))).reshape(n, t, d)
         g_hn += (g_k @ w_k.data.T).reshape(n, t, d)
         g_hn[:, qs] += (g_q @ w_q.data.T).reshape(n, tq, d)
         g_x = _ln_residual_vjp(og.reshape(n, tq, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
@@ -1206,23 +1212,16 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
     def vjp(og):
         xhat, inv, act, slope = kept
         lead = tuple(range(x.data.ndim - 1))
-        # workspace slots, as the attention vjp numbers them: 0 g_o; 1 hn;
-        # 2 g_u; 3 g_hn
-        g_o = _dropped(og.reshape(n, t, d), keep_o, scale, _workspace(0, (n, t, d))).reshape(-1, d)
+        take = _workspace()
+        g_o = _dropped(og.reshape(n, t, d), keep_o, scale, take((n, t, d))).reshape(-1, d)
         g_w2 = _spawn(lambda: act.reshape(-1, f).T @ g_o)
         g_b2 = _spawn(lambda: g_o.reshape(x.shape).sum(axis=lead))
-        # the activation's gradient, until the tiles run
-        g_u = np.matmul(g_o, w2.data.T, out=_workspace(2, (n * t, f))).reshape(n, t, f)
-
-        def tile(lo, hi, _):
-            g_u[lo:hi] *= slope[lo:hi]
-
-        _each_tile(n, rows, tile)
-        g_u = g_u.reshape(-1, f)
-        hn = _ln_affine(xhat, ln_g.data, ln_b.data, _workspace(1, (n, t, d)))
+        g_u = np.matmul(g_o, w2.data.T, out=take((n * t, f)))
+        g_u *= slope.reshape(-1, f)
+        hn = _ln_affine(xhat, ln_g.data, ln_b.data, take((n, t, d)))
         g_w1 = _spawn(lambda: hn.reshape(-1, d).T @ g_u)
         g_b1 = _spawn(lambda: g_u.reshape(x.shape[:-1] + (f,)).sum(axis=lead))
-        g_hn = np.matmul(g_u, w1.data.T, out=_workspace(3, (n * t, d))).reshape(n, t, d)
+        g_hn = np.matmul(g_u, w1.data.T, out=take((n * t, d))).reshape(n, t, d)
         g_x = _ln_residual_vjp(og.reshape(n, t, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
         return g_x + (g_w1(), g_b1(), g_w2(), g_b2())
 

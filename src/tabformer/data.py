@@ -246,10 +246,10 @@ def load_csv(
     Empty string means missing. Labels must parse to exactly 0 or 1.
     Faults name the offending file line (header = 1): a ragged row
     anywhere is reported before a bad label, and a bad label before a
-    bad feature cell. A file that is not UTF-8 or not CSV is a DataError.
-    """
+    bad feature cell. A leading byte-order mark is skipped; a file that
+    is not UTF-8 or not CSV is a DataError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

@@ -36,10 +36,10 @@ class NumericError(ArithmeticError):
 
 
 def read_json(path, what: str):
-    """The JSON document in the file at ``path``. A missing file (called
-    a ``what`` file) or text that is not JSON is a ConfigError."""
+    """The JSON document in the file at ``path``; a leading BOM is skipped.
+    A missing file (called a ``what`` file) or non-JSON text is a ConfigError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None

@@ -77,6 +77,18 @@ class TestLoadCsv:
         assert ds.rows[:, 1].tolist() == [0.0, 1.0, 0.0]
         assert ds.labels.tolist() == [1, 0, 1]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with one; here the target comes first
+        lines = ["label,age,city", "1,31,oslo", "0,45,lima", "1,12,oslo"]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_lines(plain, lines)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_csv(plain, "label"), load_csv(marked, "label")
+        assert got.schema == want.schema
+        assert got.schema.fingerprint() == want.schema.fingerprint()
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.labels, want.labels)
+
     def test_each_numeric_cell_is_parsed_once(self, tmp_path, monkeypatch):
         p = tmp_path / "t.csv"
         write_lines(p, ["a,city,b,label", "1.5,oslo,-2,0", ",lima,3e1,1", "4.25,oslo,7,1"])

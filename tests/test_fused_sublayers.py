@@ -1,8 +1,9 @@
 """The fused sublayers ``autodiff.attention_sublayer`` and
 ``autodiff.ffn_sublayer`` against their oracle: the same sublayer built
 from primitive ops (``TransformerBlock.multi_head`` for attention). The
-forward pass must be bitwise equal to the composite and consume the rng
-identically; input and parameter gradients must agree within 1e-12."""
+forward pass, the input gradient and the parameter gradients must be
+bitwise equal to the composite's, and the rng must be consumed
+identically."""
 
 import gc
 import tracemalloc
@@ -98,9 +99,9 @@ def assert_matches_composite(kind, cfg, x0, rate):
     got = run(fused, blk, x0, rate)
     assert np.array_equal(got[0], want[0])
     assert got[3] == want[3]  # the rng is left where the composite leaves it
-    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+    assert np.array_equal(got[1], want[1])
     for g, e in zip(got[2], want[2]):
-        np.testing.assert_allclose(g, e, rtol=0, atol=1e-12)
+        assert np.array_equal(g, e)
     # with no tape the forward pass is the eval-mode path, its own buffers
     rng = np.random.default_rng(3) if rate > 0.0 else None
     assert np.array_equal(fused(blk, Tensor(x0), rate, rng).data, want[0])
@@ -110,7 +111,8 @@ def assert_matches_composite(kind, cfg, x0, rate):
 @pytest.mark.parametrize("rate", [0.0, 0.1], ids=["eval", "train"])
 @pytest.mark.parametrize("cfg", [DEFAULT, SMALL], ids=["default", "small"])
 def test_fused_op_matches_its_composite(kind, rate, cfg):
-    assert_matches_composite(kind, cfg, inputs((150, T, cfg.embed_dim)), rate)
+    for n, t in ((150, 2), (150, T), (40, 65)):  # 65 tokens: one-sample tile budgets
+        assert_matches_composite(kind, cfg, inputs((n, t, cfg.embed_dim)), rate)
 
 
 @pytest.mark.parametrize("kind", sorted(PAIRS))

@@ -492,6 +492,26 @@ def test_infinite_spec_bias_exits_2(tmp_path):
     assert "Traceback" not in err
 
 
+def test_spec_and_config_with_a_byte_order_mark_read_as_without(data_path, tmp_path):
+    # Excel's "CSV UTF-8" and some editors start a UTF-8 file with a byte-order mark
+    outs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        out = tmp_path / encoding
+        out.mkdir()
+        (out / "spec.json").write_text(json.dumps(SPEC), encoding=encoding)
+        (out / "run.json").write_text(json.dumps({"model": "logistic"}), encoding=encoding)
+        for argv in (
+            ["synth", "--spec", str(out / "spec.json"), "--out", str(out / "t.csv"), "--n", "12"],
+            ["train", "--config", str(out / "run.json"), "--data", data_path, "--target", "label",
+             "--out", str(out)],
+        ):
+            rc, err = run(argv)
+            assert rc == 0, err
+        outs.append(out)
+    for name in ("t.csv", "model.json", "model.bin"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_missing_spec_file_exits_2(tmp_path):
     missing, out = str(tmp_path / "nothere.json"), str(tmp_path / "t.csv")
     for argv, message in (

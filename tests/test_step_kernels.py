@@ -157,7 +157,28 @@ def test_workspace_reuse_leaves_every_backward_pass_exact(monkeypatch):
         assert np.array_equal(g, 2.0 * e)
 
 
-def test_no_returned_gradient_shares_memory_with_the_workspace():
+def recorded_takes(monkeypatch):
+    """Give this test its own workspace and list every vjp call's takes,
+    one list per call."""
+    monkeypatch.setattr(ad, "_LOCAL", ad._Workspace())
+    calls, workspace = [], ad._workspace
+
+    def recording():
+        take, arrays = workspace(), []
+        calls.append(arrays)
+
+        def recorded(shape):
+            arrays.append(take(shape))
+            return arrays[-1]
+
+        return recorded
+
+    monkeypatch.setattr(ad, "_workspace", recording)
+    return calls
+
+
+def test_no_returned_gradient_shares_memory_with_the_workspace(monkeypatch):
+    calls = recorded_takes(monkeypatch)
     cfg = ModelConfig(dropout=0.1)
     blk = block(cfg)
     x = Tensor(inputs((40, T, 64)), requires_grad=True)
@@ -173,12 +194,41 @@ def test_no_returned_gradient_shares_memory_with_the_workspace():
             last, blk.ln2_g, blk.ln2_b, blk.ffn_w1, blk.ffn_b1, blk.ffn_w2, blk.ffn_b2,
             cfg.layer_norm_eps, 0.1, rng, mask_tokens=T,
         )
-    for node in tape.nodes:
-        returned = [g for g in node.vjp(np.ones_like(node.out.data)) if g is not None]
-        slots = ad._LOCAL.slots
-        assert len(slots) == 6
-        for g in returned:
-            assert not any(np.shares_memory(g, slot) for slot in slots)
+    for _ in range(2):  # the buffer grows on the first pass and holds every take on the second
+        for node in tape.nodes:
+            returned = [g for g in node.vjp(np.ones_like(node.out.data)) if g is not None]
+            for g in returned:
+                assert not np.shares_memory(g, ad._LOCAL.buf)
+                assert not any(np.shares_memory(g, a) for a in calls[-1])
+    assert all(np.shares_memory(a, ad._LOCAL.buf) for arrays in calls[-4:] for a in arrays)
+
+
+def test_takes_within_one_call_never_overlap(monkeypatch):
+    calls = recorded_takes(monkeypatch)
+    model, X, y, _ = default_step()
+    for seed in range(2):  # cold, then warm with every take on the buffer
+        tape, loss = step_tape(model, X[:50], y[:50], seed)
+        tape.backward(loss)
+    assert len(calls) == 4 * DEFAULT.n_blocks
+    for arrays in calls:
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[:i])
+    assert all(np.shares_memory(a, ad._LOCAL.buf) for arrays in calls[len(calls) // 2:] for a in arrays)
+
+
+def test_warm_workspace_is_never_replaced(monkeypatch):
+    monkeypatch.setattr(ad, "_LOCAL", ad._Workspace())
+    model, X, y, _ = default_step()
+    for seed in range(2):
+        tape, loss = step_tape(model, X, y, seed)
+        tape.backward(loss)
+    buf = ad._LOCAL.buf
+    # the attention vjp's seven [n, t, d] takes at 256 samples: 9.18 MB
+    assert buf.nbytes == 7 * 256 * T * 64 * 8
+    for seed, rows in ((2, 256), (3, 256), (4, 100), (5, 1)):  # a smaller final batch last
+        tape, loss = step_tape(model, X[:rows], y[:rows], seed)
+        tape.backward(loss)
+        assert ad._LOCAL.buf is buf
 
 
 def test_warm_default_backward_makes_no_full_batch_temporaries(monkeypatch):
