@@ -65,14 +65,15 @@ head split; ``_gelu_kernel`` and ``_gelu_slope``. So that comparison checks
 tiling, layouts, GEMM order and rng use, not the formulas, which keep
 their own checks: softmax and layer norm against direct evaluation,
 scalar attention (acceptance criterion 02), ``grad_check`` of every
-op, and dropout's scale. Out rule: with no active tape, a fused op
-takes ``out=``, a C-contiguous float64 array of the output's size, and
-writes its output there; anything else, and any ``out`` under a tape,
-is a ShapeError. ``out`` may be x's own buffer, because each tile
-reads its own rows of x before it writes them and no tile reads
-another's rows, so an eval forward can carry one residual buffer
-through every block. Without ``out`` an op never writes into its
-input.
+op, and dropout's scale. In-place rule: ``in_place=True`` lets a fused
+op write its output over x's buffer. It does so only with no active
+tape and an output shaped like x, and otherwise allocates as without
+the permission: under a tape, and for a ``last_only`` attention over
+more than one token, whose output is one row. Writing over x is safe
+because each tile reads its own rows of x before it writes them and no
+tile reads another's rows, so an eval forward can carry one residual
+buffer through every block. Without ``in_place`` an op never writes
+into its input.
 
 Last-token rule. ``attention_sublayer(..., last_only=True)`` returns
 the last token's row only, [..., 1, d]: every token is normalised and
@@ -1012,27 +1013,6 @@ def _sublayer_input(op, x, ln_g, ln_b, eps, rate, rng):
     return x.data.reshape((-1,) + x.data.shape[-2:])
 
 
-def _out_buffer(op, out, shape):
-    """A new array of ``shape``, or ``out`` viewed as one: accepted only
-    with no active tape, and only as a C-contiguous float64 array of that
-    many elements."""
-    if out is None:
-        return np.empty(shape)
-    size = math.prod(shape)
-    if (
-        active_tape() is not None
-        or not isinstance(out, np.ndarray)
-        or out.dtype != np.float64
-        or not out.flags.c_contiguous
-        or out.size != size
-    ):
-        raise ShapeError(
-            f"{op} writes into out only with no tape and only a C-contiguous float64 array "
-            f"of {size} elements"
-        )
-    return out.reshape(shape)
-
-
 def _ln_residual_vjp(og, g_ln, gain, xhat, inv, rows, shape):
     """Gradients of x + f(layer_norm(x)) given ``og`` for the sum and
     ``g_ln`` for the norm's output: (x, gain, bias). When the sum kept
@@ -1053,7 +1033,7 @@ def _ln_residual_vjp(og, g_ln, gain, xhat, inv, rows, shape):
 
 
 def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rate=0.0, rng=None,
-                       last_only=False, out=None):
+                       last_only=False, in_place=False):
     """x + dropout(MHSA(layer_norm(x))) as one op, for x[..., t, d].
 
     The composite it replaces: ``layer_norm``; ``matmul`` by w_q, w_k and
@@ -1068,8 +1048,8 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
     Every token is still normalised and projected to keys and values,
     and both masks are still drawn at their full shapes.
 
-    ``out``, with no tape, receives the output (the out rule in the
-    module docstring); it may be x's own buffer.
+    ``in_place`` lets the op write its output over x's buffer (the
+    in-place rule in the module docstring).
     """
     xs = _sublayer_input("attention_sublayer", x, ln_g, ln_b, eps, rate, rng)
     n, t, d = xs.shape
@@ -1080,7 +1060,7 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
             raise ShapeError(f"attention_sublayer needs ({d}, {d}) projections, got {w.shape}")
     tq = 1 if last_only else t  # query rows: the last tq tokens
     qs = slice(t - tq, t)
-    out = _out_buffer("attention_sublayer", out, (n, tq, d))
+    out = xs if in_place and tq == t and active_tape() is None else np.empty((n, tq, d))
     h, scale, keep_p, keep_o = n_heads, 1.0 / (1.0 - rate), None, None
     if rate > 0.0:
         keep_p = rng.random((h, n, t, t))[:, :, qs] >= rate
@@ -1147,7 +1127,7 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
 
 
 def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, mask_tokens=None,
-                 out=None):
+                 in_place=False):
     """x + dropout(GELU(layer_norm(x) W1 + b1) W2 + b2) as one op, for x[..., t, d].
 
     The composite it replaces: ``layer_norm``; ``matmul`` and
@@ -1159,8 +1139,8 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
     (the output of a ``last_only`` attention sublayer), is the token
     count the mask is drawn for; x uses its last t rows.
 
-    ``out``, with no tape, receives the output (the out rule in the
-    module docstring); it may be x's own buffer.
+    ``in_place`` lets the op write its output over x's buffer (the
+    in-place rule in the module docstring).
 
     The GELU runs the composite's kernels (``_gelu_kernel``,
     ``_gelu_slope``) on each tile. Under a tape the op keeps the
@@ -1184,7 +1164,7 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
             f"ffn_sublayer needs w1[{d}, f], b1[f], w2[f, {d}], b2[{d}]; "
             f"got {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}"
         )
-    out = _out_buffer("ffn_sublayer", out, (n, t, d))
+    out = xs if in_place and active_tape() is None else np.empty((n, t, d))
     scale, keep_o = 1.0 / (1.0 - rate), None
     if rate > 0.0:
         keep_o = rng.random((n, drawn, d))[:, drawn - t:] >= rate

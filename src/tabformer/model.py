@@ -190,11 +190,11 @@ class TransformerBlock:
     ``last_only`` the block returns the last token's row only,
     [..., 1, d]: every token still feeds keys and values, and the
     dropout masks are still drawn at their full shapes (the last-token
-    rule in ``autodiff``). With ``in_place``, allowed only when no tape
-    is active, the block writes its result into x's own buffer (the out
-    rule in ``autodiff``): a full attention sublayer overwrites x, and
-    the FFN overwrites the attention output, which is a new one-row
-    array under ``last_only``. The bytes are those of the allocating
+    rule in ``autodiff``). ``in_place`` is passed to both sublayers
+    unchanged (the in-place rule in ``autodiff``): with no active tape a
+    full attention sublayer writes over x, and the FFN over the
+    attention output, which is a new one-row array under ``last_only``;
+    under a tape both allocate. The bytes are those of the allocating
     path; by default x is left unchanged.
 
     Attention runs all heads as one batch. q, k and v come from the
@@ -254,12 +254,11 @@ class TransformerBlock:
         tokens = x.shape[-2]
         x = ad.attention_sublayer(
             x, self.ln1_g, self.ln1_b, self.w_q, self.w_k, self.w_v, self.w_o,
-            cfg.n_heads, eps, rate, rng, last_only=last_only,
-            out=x.data if in_place and not last_only else None,
+            cfg.n_heads, eps, rate, rng, last_only=last_only, in_place=in_place,
         )
         return ad.ffn_sublayer(
             x, self.ln2_g, self.ln2_b, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2,
-            eps, rate, rng, mask_tokens=tokens, out=x.data if in_place else None,
+            eps, rate, rng, mask_tokens=tokens, in_place=in_place,
         )
 
 
@@ -285,6 +284,7 @@ class ScoringModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Eval-mode probabilities with no graph recording, computed
         ``PREDICT_BATCH`` rows at a time."""
+        _check_rows(X, self.schema.n_features)
         out = np.empty(X.shape[0], dtype=np.float64)
         for lo in range(0, X.shape[0], PREDICT_BATCH):
             chunk = X[lo : lo + PREDICT_BATCH]
@@ -296,11 +296,13 @@ class Model(ScoringModel):
     """Full tabular transformer. The head reads only the classification
     token, so the last block runs with ``last_only`` and computes that
     token's row alone; every block still runs through
-    ``TransformerBlock.forward``. A forward with no active tape, such as
-    ``predict_proba``, runs the blocks ``in_place``: the tokenizer's
-    output is the one [n, t, d] buffer, carried through every block as
-    the residual stream. Under a tape, in train or eval mode, every op
-    makes a fresh output, so saved state and gradients do not change."""
+    ``TransformerBlock.forward``. The blocks always run ``in_place``,
+    because the tokenizer's output is the model's own array: with no
+    active tape, as in ``predict_proba``, it is the one [n, t, d] buffer,
+    carried through every block as the residual stream. Under a tape, in
+    train or eval mode, every op makes a fresh output, so saved state and
+    gradients do not change. A ``NumericError`` names where it arose:
+    "tokenizer", "block i" or "head"."""
 
     kind = "transformer"
 
@@ -328,22 +330,18 @@ class Model(ScoringModel):
         return self.config.to_dict()
 
     def _logits(self, X: np.ndarray, training: bool, rng) -> Tensor:
+        last, where = len(self.blocks) - 1, "tokenizer"
         try:
             x = self.tokenizer.forward_batch(X)
-        except NumericError as exc:
-            raise NumericError(f"tokenizer: {exc}") from None
-        last, in_place = len(self.blocks) - 1, ad.active_tape() is None
-        for i, blk in enumerate(self.blocks):
-            try:
-                x = blk.forward(x, training, rng, last_only=i == last, in_place=in_place)
-            except NumericError as exc:
-                raise NumericError(f"block {i}: {exc}") from None
-        try:
+            for i, blk in enumerate(self.blocks):
+                where = f"block {i}"
+                x = blk.forward(x, training, rng, last_only=i == last, in_place=True)
+            where = "head"
             cls = ad.select_row(x, 0)  # the last block kept the classification token only
             h = ad.layer_norm(cls, self.head_ln_g, self.head_ln_b, self.config.layer_norm_eps)
             return _dense(h, self.head)
         except NumericError as exc:
-            raise NumericError(f"head: {exc}") from None
+            raise NumericError(f"{where}: {exc}") from None
 
 
 class MlpModel(ScoringModel):

@@ -1,8 +1,9 @@
-"""An eval forward carries one residual buffer through every block: the
-fused sublayers write into ``out``, which may be x's own buffer. Writing
-in place must give the bytes of the call that allocates, ``out`` is
-refused wherever it is unsafe, and no op changes its input unless it is
-given ``out``."""
+"""An eval forward carries one residual buffer through every block: given
+``in_place=True`` and no active tape, the fused sublayers write their
+output over x's own buffer. Writing in place must give the bytes of the
+call that allocates; under a tape, and for a ``last_only`` attention,
+the permission is not used, and no op changes its input unless it is
+given the permission."""
 
 import contextlib
 import gc
@@ -13,24 +14,23 @@ import pytest
 
 from tabformer import autodiff as ad
 from tabformer.autodiff import Tape, Tensor
-from tabformer.errors import ShapeError
 from tabformer.model import FeatureTokenizer, Model, TransformerBlock
 from test_fused_sublayers import DEFAULT, SMALL, T, block, inputs
 from test_last_token import rows, schema
 
 
-def attention(blk, x, rate=0.0, rng=None, last_only=False, out=None):
+def attention(blk, x, rate=0.0, rng=None, last_only=False, in_place=False):
     cfg = blk.config
     return ad.attention_sublayer(
         x, blk.ln1_g, blk.ln1_b, blk.w_q, blk.w_k, blk.w_v, blk.w_o,
-        cfg.n_heads, cfg.layer_norm_eps, rate, rng, last_only=last_only, out=out,
+        cfg.n_heads, cfg.layer_norm_eps, rate, rng, last_only=last_only, in_place=in_place,
     )
 
 
-def ffn(blk, x, rate=0.0, rng=None, mask_tokens=None, out=None):
+def ffn(blk, x, rate=0.0, rng=None, mask_tokens=None, in_place=False):
     return ad.ffn_sublayer(
         x, blk.ln2_g, blk.ln2_b, blk.ffn_w1, blk.ffn_b1, blk.ffn_w2, blk.ffn_b2,
-        blk.config.layer_norm_eps, rate, rng, mask_tokens=mask_tokens, out=out,
+        blk.config.layer_norm_eps, rate, rng, mask_tokens=mask_tokens, in_place=in_place,
     )
 
 
@@ -63,37 +63,30 @@ def test_writing_into_x_gives_the_bytes_of_a_fresh_output(case, cfg, workers, mo
         for rate in (0.0, 0.1):
             want = op(blk, Tensor(x0), rate, np.random.default_rng(3), **kwargs).data
             x = Tensor(x0.copy())
-            got = op(blk, x, rate, np.random.default_rng(3), out=x.data, **kwargs).data
+            got = op(blk, x, rate, np.random.default_rng(3), in_place=True, **kwargs).data
             assert np.shares_memory(got, x.data)
             assert got.tobytes() == want.tobytes()
 
 
-def test_out_is_refused_where_it_is_unsafe():
+def test_in_place_allocates_under_a_tape_and_for_a_last_only_attention():
     blk = block(SMALL)
     x0 = inputs((4, T, 16))
-    x = Tensor(x0.copy())
-    wrong = {
-        "size": np.empty((4, T, 15)),
-        "layout": np.empty((4, T, 32))[:, :, ::2],
-        "dtype": np.empty((4, T, 16), dtype=np.float32),
+    # case -> (under a tape, op, keyword arguments); a last_only attention
+    # returns one row per sample, [n, 1, d]
+    cases = {
+        "attention-taped": (True, attention, {}),
+        "ffn-taped": (True, ffn, {}),
+        "attention-last-token": (False, attention, {"last_only": True}),
     }
-    for op in (attention, ffn):
-        for out in wrong.values():
-            with pytest.raises(ShapeError, match="out"):
-                op(blk, x, out=out)
-        with Tape(), pytest.raises(ShapeError, match="out"):
-            op(blk, x, out=np.empty((4, T, 16)))
-        with Tape(), pytest.raises(ShapeError, match="out"):
-            op(blk, x, out=x.data)
-    # a last_only attention returns one row per sample, [n, 1, d]
-    with pytest.raises(ShapeError, match="out"):
-        attention(blk, x, last_only=True, out=x.data)
-    # a refused call draws no mask and writes nothing
-    rng = np.random.default_rng(0)
-    with pytest.raises(ShapeError, match="out"):
-        attention(blk, x, 0.1, rng, out=wrong["size"])
-    assert rng.random() == np.random.default_rng(0).random()
-    assert x.data.tobytes() == x0.tobytes()
+    for case, (taped, op, kwargs) in cases.items():
+        for rate in (0.0, 0.1):
+            want = op(blk, Tensor(x0), rate, np.random.default_rng(3), **kwargs).data
+            x = Tensor(x0.copy(), requires_grad=taped)
+            with Tape() if taped else contextlib.nullcontext():
+                got = op(blk, x, rate, np.random.default_rng(3), in_place=True, **kwargs).data
+            assert not np.shares_memory(got, x.data), case
+            assert x.data.tobytes() == x0.tobytes(), case
+            assert got.tobytes() == want.tobytes(), case
 
 
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])

@@ -368,6 +368,23 @@ class TestForward:
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="block 1"):
             model.predict_proba(np.ones((1, 3)))
 
+    @pytest.mark.parametrize("where", ["tokenizer", "head"])
+    def test_nan_failure_names_the_tokenizer_and_the_head(self, where):
+        model = Model(tiny_config(n_blocks=2), numeric_schema(3), seed=16)
+        broken = model.tokenizer.numeric_w if where == "tokenizer" else model.head[0][0]
+        broken.data[...] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=f"^{where}: "):
+            model.predict_proba(np.ones((1, 3)))
+
+    @pytest.mark.parametrize("kind", ["transformer", "mlp"])
+    def test_predict_checks_the_row_width_of_an_empty_table(self, kind):
+        schema = numeric_schema(3)
+        model = Model(tiny_config(), schema) if kind == "transformer" else MlpModel(schema)
+        for X in (np.empty((0, 7)), np.empty((0,)), np.zeros((2, 7))):
+            with pytest.raises(ShapeError, match="length 3"):
+                model.predict_proba(X)
+        assert model.predict_proba(np.empty((0, 3))).shape == (0,)
+
     def test_train_mode_needs_rng_when_dropout_on(self):
         model = Model(tiny_config(dropout=0.2), numeric_schema(3), seed=17)
         with pytest.raises(ConfigError, match="dropout requires an explicit rng"):
