@@ -15,7 +15,6 @@ from .data import (
     FoldAssignment,
     GeneratorColumn,
     GeneratorSpec,
-    Standardizer,
     apply_standardizer,
     bayes_probabilities,
     fit_standardizer,
@@ -23,7 +22,6 @@ from .data import (
     generate_table,
     load_csv,
     load_generator_spec,
-    schema_with_stats,
     standardizer_from_schema,
     stratified_holdout,
     stratified_k_fold,
@@ -77,7 +75,6 @@ __all__ = [
     "NumericError",
     "Parameter",
     "ShapeError",
-    "Standardizer",
     "Tape",
     "Tensor",
     "TrainConfig",
@@ -99,7 +96,6 @@ __all__ = [
     "pr_curve",
     "run_cv",
     "save_checkpoint",
-    "schema_with_stats",
     "standardizer_from_schema",
     "stratified_holdout",
     "stratified_k_fold",

@@ -23,7 +23,6 @@ from .data import (
     generate_table,
     load_csv,
     load_generator_spec,
-    standardizer_from_schema,
     stratified_k_fold,
     write_csv,
 )
@@ -198,8 +197,7 @@ def cmd_importance(args: argparse.Namespace) -> int:
         )
     assignment = stratified_k_fold(dataset.labels, cfg.k_folds, cfg.seed)
     held_out = assignment.fold_indices(cfg.fold)
-    stats = standardizer_from_schema(model.schema)
-    X_val = apply_standardizer(dataset.rows[held_out], stats)
+    X_val = apply_standardizer(dataset.rows[held_out], model.schema)
     y_val = dataset.labels[held_out]
     report = permutation_importance(
         model,

@@ -17,7 +17,8 @@ Conventions baked in here:
   fit time;
 * standardization uses the population std with a 1e-8 floor, and its
   statistics must come from training rows only (the fit/apply split
-  makes that explicit);
+  makes that explicit). They live only in the schema's numeric columns
+  (``mean``, ``std``), so a checkpoint's schema is its standardizer;
 * stratification shuffles within each class and deals round-robin, so
   per-fold class counts differ from the proportional share by at most 1.
 """
@@ -285,16 +286,10 @@ def load_csv(
 # Standardization
 
 
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-numeric-column mean/std, fitted on training rows only."""
-
-    numeric_indices: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
-
-
-def fit_standardizer(rows: np.ndarray, schema: FeatureSchema) -> Standardizer:
+def fit_standardizer(rows: np.ndarray, schema: FeatureSchema) -> FeatureSchema:
+    """``schema`` with the mean and population std of each numeric column
+    of ``rows`` (training rows only) stamped in: the fitted schema is the
+    standardizer, and checkpoints save it."""
     if rows.shape[0] < 2:
         raise DataError("standardizer needs at least 2 training rows")
     idx = schema.numeric_indices()
@@ -303,42 +298,31 @@ def fit_standardizer(rows: np.ndarray, schema: FeatureSchema) -> Standardizer:
         means, stds = cols.mean(axis=0), cols.std(axis=0)  # population std
     if not (np.isfinite(means).all() and np.isfinite(stds).all()):
         raise DataError("numeric values too large to standardize: a mean or std overflows")
-    return Standardizer(numeric_indices=idx, means=means, stds=stds)
+    columns = list(schema.columns)
+    for j, mean, std in zip(idx, means.tolist(), stds.tolist()):
+        columns[j] = replace(columns[j], mean=mean, std=std)
+    return FeatureSchema(tuple(columns))
 
 
-def apply_standardizer(rows: np.ndarray, stats: Standardizer) -> np.ndarray:
-    """(x - mean) / max(std, 1e-8) on numeric columns; categorical untouched."""
+def apply_standardizer(rows: np.ndarray, schema: FeatureSchema) -> np.ndarray:
+    """(x - mean) / max(std, 1e-8) on numeric columns, with the statistics
+    stamped in ``schema`` (a DataError if absent); categorical untouched."""
+    idx = standardizer_from_schema(schema).numeric_indices()
+    means = np.array([schema.columns[j].mean for j in idx], dtype=np.float64)
+    stds = np.array([schema.columns[j].std for j in idx], dtype=np.float64)
     out = rows.astype(np.float64, copy=True)
-    idx = stats.numeric_indices
-    if idx.size:
-        out[:, idx] = (out[:, idx] - stats.means) / np.maximum(stats.stds, _STD_FLOOR)
+    out[:, idx] = (out[:, idx] - means) / np.maximum(stds, _STD_FLOOR)
     return out
 
 
-def schema_with_stats(schema: FeatureSchema, stats: Standardizer) -> FeatureSchema:
-    """Schema copy carrying the fitted statistics (for checkpoints)."""
-    by_index = {int(j): k for k, j in enumerate(stats.numeric_indices)}
-    cols = []
-    for j, col in enumerate(schema.columns):
-        if j in by_index:
-            k = by_index[j]
-            cols.append(replace(col, mean=float(stats.means[k]), std=float(stats.stds[k])))
-        else:
-            cols.append(col)
-    return FeatureSchema(tuple(cols))
-
-
-def standardizer_from_schema(schema: FeatureSchema) -> Standardizer:
-    idx = schema.numeric_indices()
-    means = []
-    stds = []
-    for j in idx:
+def standardizer_from_schema(schema: FeatureSchema) -> FeatureSchema:
+    """``schema`` itself, once every numeric column is checked to carry
+    fitted statistics; a ``DataError`` names the first that does not."""
+    for j in schema.numeric_indices():
         col = schema.columns[j]
         if col.mean is None or col.std is None:
             raise DataError(f"column {col.name!r} carries no fitted statistics")
-        means.append(col.mean)
-        stds.append(col.std)
-    return Standardizer(numeric_indices=idx, means=np.array(means), stds=np.array(stds))
+    return schema
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ from .data import (
     Dataset,
     apply_standardizer,
     fit_standardizer,
-    schema_with_stats,
-    standardizer_from_schema,
     stratified_holdout,
     stratified_k_fold,
 )
@@ -200,13 +198,13 @@ def holdout_split(dataset: Dataset, seed: int) -> tuple:
     """
     val_mask = stratified_holdout(dataset.labels, VAL_FRACTION, seed)
     fit_rows = dataset.rows[~val_mask]
-    stats = fit_standardizer(fit_rows, dataset.schema)
-    fit = (apply_standardizer(fit_rows, stats), dataset.labels[~val_mask].astype(np.float64))
+    schema = fit_standardizer(fit_rows, dataset.schema)
+    fit = (apply_standardizer(fit_rows, schema), dataset.labels[~val_mask].astype(np.float64))
     val = (
-        apply_standardizer(dataset.rows[val_mask], stats),
+        apply_standardizer(dataset.rows[val_mask], schema),
         dataset.labels[val_mask].astype(np.float64),
     )
-    return schema_with_stats(dataset.schema, stats), fit, val
+    return schema, fit, val
 
 
 def run_cv(
@@ -236,7 +234,7 @@ def run_cv(
         log = train(model, fit, val, replace(train_config, seed=seed + f))
 
         test_idx = assignment.fold_indices(f)
-        X_test = apply_standardizer(dataset.rows[test_idx], standardizer_from_schema(schema))
+        X_test = apply_standardizer(dataset.rows[test_idx], schema)
         y_test = dataset.labels[test_idx]
         probs = model.predict_proba(X_test)
         preds = (probs > threshold).astype(np.int64)

@@ -111,9 +111,11 @@ def _dense(h: Tensor, layers) -> Tensor:
 PREDICT_BATCH = 1024
 
 
-def _check_rows(X: np.ndarray, n_features: int) -> None:
+def _as_rows(X, n_features: int) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)  # a list or tuple of rows scores like an array
     if X.ndim != 2 or X.shape[1] != n_features:
         raise ShapeError(f"expected rows of length {n_features}, got shape {X.shape}")
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,7 @@ class FeatureTokenizer:
         return [self.numeric_w, self.numeric_b, self.table, self.cls]
 
     def forward_batch(self, X: np.ndarray) -> Tensor:
-        _check_rows(X, self.schema.n_features)
+        X = _as_rows(X, self.schema.n_features)
         return ad.feature_tokens(X, self.numeric_idx, self.categorical_idx, self.sizes, self.parameters())
 
 
@@ -271,7 +273,7 @@ class ScoringModel:
     kind: str
 
     def forward_batch(self, X: np.ndarray, training: bool = False, rng=None) -> Tensor:
-        _check_rows(X, self.schema.n_features)
+        X = _as_rows(X, self.schema.n_features)
         z = self._logits(X, training, rng)
         return ad.reshape(ad.sigmoid(z), (X.shape[0],))
 
@@ -284,7 +286,7 @@ class ScoringModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Eval-mode probabilities with no graph recording, computed
         ``PREDICT_BATCH`` rows at a time."""
-        _check_rows(X, self.schema.n_features)
+        X = _as_rows(X, self.schema.n_features)
         out = np.empty(X.shape[0], dtype=np.float64)
         for lo in range(0, X.shape[0], PREDICT_BATCH):
             chunk = X[lo : lo + PREDICT_BATCH]

@@ -20,7 +20,6 @@ from tabformer.data import (
     generate_table,
     load_csv,
     load_generator_spec,
-    schema_with_stats,
     standardizer_from_schema,
     stratified_holdout,
     stratified_k_fold,
@@ -28,6 +27,8 @@ from tabformer.data import (
     write_csv,
 )
 from tabformer.errors import ConfigError, DataError
+from tabformer.evaluation import VAL_FRACTION, holdout_split
+from tabformer.model import build_model, load_checkpoint, save_checkpoint
 
 
 def write_lines(path, lines):
@@ -228,9 +229,9 @@ class TestStandardizer:
     def test_population_std(self):
         rows = np.array([[1.0], [2.0], [3.0], [4.0]])
         schema = FeatureSchema((ColumnSchema("a", NUMERIC),))
-        stats = fit_standardizer(rows, schema)
-        assert stats.means[0] == 2.5
-        assert stats.stds[0] == math.sqrt(1.25)  # ddof=0, not 5/3
+        fitted = fit_standardizer(rows, schema)
+        assert fitted.columns[0].mean == 2.5
+        assert fitted.columns[0].std == math.sqrt(1.25)  # ddof=0, not 5/3
 
     def test_constant_column_maps_to_zero(self):
         rows = np.full((5, 1), 0.5)
@@ -258,23 +259,32 @@ class TestStandardizer:
         assert out[:, 1].tolist() == [1.0, 0.0]
         assert out[:, 0].tolist() == [-1.0, 1.0]
 
-    def test_schema_stats_round_trip(self):
-        rows = np.array([[1.0, 0.0], [3.0, 1.0]])
+    def test_schema_stats_round_trip(self, tmp_path):
+        # the seam importance relies on: the schema holdout_split fitted,
+        # saved in a checkpoint and loaded back, standardizes its rows to
+        # the very bits training saw
+        rng = np.random.default_rng(0)
+        numeric = rng.normal(5.0, 2.0, 80)
+        numeric[::10] = 0.0  # imputed missing cells
+        rows = np.column_stack([numeric, rng.integers(0, 3, 80).astype(np.float64)])
         schema = FeatureSchema(
-            (ColumnSchema("a", NUMERIC), ColumnSchema("c", CATEGORICAL, ("x", "y")))
+            (ColumnSchema("a", NUMERIC), ColumnSchema("c", CATEGORICAL, ("x", "y", "z")))
         )
-        stats = fit_standardizer(rows, schema)
-        stamped = schema_with_stats(schema, stats)
-        assert stamped.columns[0].mean == 2.0
-        recovered = standardizer_from_schema(stamped)
-        assert np.array_equal(
-            apply_standardizer(rows, recovered), apply_standardizer(rows, stats)
-        )
+        ds = Dataset(rows, np.array([0, 1] * 40), schema)
+        fitted, (X_fit, _), (X_val, _) = holdout_split(ds, seed=3)
+        val = stratified_holdout(ds.labels, VAL_FRACTION, 3)
+        model = build_model("logistic", fitted)
+        save_checkpoint(model, tmp_path / "ckpt")
+        for s in (fitted, load_checkpoint(tmp_path / "ckpt").schema):
+            assert apply_standardizer(rows[~val], s).tobytes() == X_fit.tobytes()
+            assert apply_standardizer(rows[val], s).tobytes() == X_val.tobytes()
 
     def test_stats_missing_from_schema(self):
         schema = FeatureSchema((ColumnSchema("a", NUMERIC),))
         with pytest.raises(DataError):
             standardizer_from_schema(schema)
+        with pytest.raises(DataError, match="carries no fitted statistics"):
+            apply_standardizer(np.ones((2, 1)), schema)
 
 
 class TestStratifiedKFold:

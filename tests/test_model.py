@@ -385,6 +385,20 @@ class TestForward:
                 model.predict_proba(X)
         assert model.predict_proba(np.empty((0, 3))).shape == (0,)
 
+    @pytest.mark.parametrize("kind", ["transformer", "mlp", "logistic"])
+    def test_array_like_rows_score_as_arrays(self, kind):
+        config = tiny_config().to_dict() if kind == "transformer" else None
+        model = build_model(kind, mixed_schema(), seed=5, config=config)
+        rows = [[0.5, 1.0, -2.0, 2.0], [1.5, 0.0, 0.25, 3.0]]
+        X = np.array(rows)
+        for like in (rows, tuple(map(tuple, rows))):
+            assert model.predict_proba(like).tobytes() == model.predict_proba(X).tobytes()
+            assert model.forward_batch(like).data.tobytes() == model.forward_batch(X).data.tobytes()
+        for bad in ([[0.5, 1.0]], rows[0]):
+            for score in (model.predict_proba, model.forward_batch):
+                with pytest.raises(ShapeError, match="length 4"):
+                    score(bad)
+
     def test_train_mode_needs_rng_when_dropout_on(self):
         model = Model(tiny_config(dropout=0.2), numeric_schema(3), seed=17)
         with pytest.raises(ConfigError, match="dropout requires an explicit rng"):
