@@ -18,6 +18,8 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
+import numpy as np
+
 from .data import (
     apply_standardizer,
     generate_table,
@@ -278,7 +280,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the per-op check reports a numeric failure, so numpy's warnings would repeat
+        # it; the state is per context, which autodiff's helper threads copy
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the file reader behind
-config and generator spec files (``read_json``), and the one JSON reader
-and type check behind every config, generator spec and checkpoint schema.
+config, generator spec and checkpoint manifest files (``read_json``), and
+the one JSON reader and type check behind every config, generator spec
+and checkpoint manifest.
 
 One rule for all of them: an unknown key, a missing required field or a
 wrongly typed value is a ConfigError. Integers are valid floats (JSON
@@ -49,9 +50,10 @@ def read_json(path, what: str):
 
 def from_dict(cls, doc):
     """The dataclass ``cls`` read from the JSON object ``doc``. Lists
-    become tuples, and each element of a ``Tuple[X, ...]`` field with a
-    dataclass ``X`` is read as ``X``; ``cls.__post_init__`` then checks
-    every value. Bound on each config as ``classmethod(from_dict)``."""
+    become tuples, and an object in a field, or in a ``Tuple[X, ...]``
+    element, typed as a dataclass ``X`` is read as ``X``;
+    ``cls.__post_init__`` then checks every value. Bound on each config
+    as ``classmethod(from_dict)``."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {doc!r}")
     fields = dataclasses.fields(cls)
@@ -70,6 +72,8 @@ def _no_default(f) -> bool:
 
 
 def _read(value, hint):
+    if isinstance(value, dict) and dataclasses.is_dataclass(hint):
+        return from_dict(hint, value)
     if not isinstance(value, (list, tuple)):
         return value
     args = typing.get_args(hint)
@@ -77,9 +81,7 @@ def _read(value, hint):
         args = (args[0],) * len(value)
     if typing.get_origin(hint) is not tuple or len(args) != len(value):
         return tuple(value)  # check_field_types rejects a wrong type or length
-    return tuple(
-        from_dict(h, v) if dataclasses.is_dataclass(h) else _read(v, h) for v, h in zip(value, args)
-    )
+    return tuple(map(_read, value, args))
 
 
 def check_field_types(obj) -> None:

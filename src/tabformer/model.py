@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .data import FeatureSchema
-from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict, read_json
 from .seeding import stream_rng
 
 
@@ -112,7 +112,13 @@ PREDICT_BATCH = 1024
 
 
 def _as_rows(X, n_features: int) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)  # a list or tuple of rows scores like an array
+    """X as a float64 [n, n_features] array: a list or tuple of rows
+    scores like an array. Anything else, ragged or non-numeric rows
+    included, is a ShapeError."""
+    try:
+        X = np.asarray(X, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"expected rows of {n_features} numbers ({exc})") from None
     if X.ndim != 2 or X.shape[1] != n_features:
         raise ShapeError(f"expected rows of length {n_features}, got shape {X.shape}")
     return X
@@ -278,10 +284,7 @@ class ScoringModel:
         return ad.reshape(ad.sigmoid(z), (X.shape[0],))
 
     def forward(self, row: np.ndarray, training: bool = False, rng=None) -> float:
-        row = np.asarray(row, dtype=np.float64)
-        if row.ndim != 1:
-            raise ShapeError(f"expected a single row, got shape {row.shape}")
-        return float(self.forward_batch(row[None, :], training, rng).data[0])
+        return float(self.forward_batch([row], training, rng).data[0])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Eval-mode probabilities with no graph recording, computed
@@ -409,9 +412,20 @@ def build_model(kind: str, schema: FeatureSchema, seed: int = 0, config: Optiona
     return MODELS[kind](schema, seed, dict(config or {}))
 
 
-# required manifest keys; "bin_sha256" is optional, because manifests
-# written before it was recorded lack it
-_MANIFEST_KEYS = ("kind", "config", "schema", "schema_fingerprint", "seed")
+@dataclass(frozen=True)
+class CheckpointManifest:
+    """The ``<prefix>.json`` half of a checkpoint; ``bin_sha256`` is
+    optional, because manifests written before it was recorded lack it."""
+
+    kind: str
+    config: dict
+    schema: FeatureSchema
+    schema_fingerprint: str
+    seed: int
+    bin_sha256: Optional[str] = None
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 def save_checkpoint(model, prefix) -> None:
@@ -422,15 +436,15 @@ def save_checkpoint(model, prefix) -> None:
     prefix = str(prefix)
     flat = np.concatenate([p.data.ravel() for p in model.parameters()])
     raw = flat.astype("<f8").tobytes()
-    manifest = {
-        "kind": model.kind,
-        "config": model.config_dict(),
-        "schema": model.schema.to_dict(),
-        "schema_fingerprint": model.schema.fingerprint(),
-        "seed": model.seed,
-        "bin_sha256": hashlib.sha256(raw).hexdigest(),
-    }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    manifest = CheckpointManifest(
+        kind=model.kind,
+        config=model.config_dict(),
+        schema=model.schema,
+        schema_fingerprint=model.schema.fingerprint(),
+        seed=model.seed,
+        bin_sha256=hashlib.sha256(raw).hexdigest(),
+    )
+    text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
     files = {prefix + ".json": text.encode("utf-8"), prefix + ".bin": raw}
     temps = []
     try:
@@ -452,33 +466,17 @@ def load_checkpoint(prefix):
     bytes do not hash to the manifest's ``bin_sha256``, when it records
     one, or decode to a non-finite parameter, is a DataError."""
     prefix = str(prefix)
-    try:
-        with open(prefix + ".json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise DataError(f"{prefix}.json: invalid manifest ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise DataError(f"{prefix}.json: manifest must be a JSON object")
-    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
-    if missing:
-        raise DataError(f"{prefix}.json: manifest lacks {missing}")
-    kind, config, seed = manifest["kind"], manifest["config"], manifest["seed"]
-    if not isinstance(kind, str) or kind not in MODELS:
-        raise DataError(f"checkpoint has unknown model kind {kind!r}")
-    if not isinstance(config, dict) or isinstance(seed, bool) or not isinstance(seed, int):
-        raise DataError(f"{prefix}.json: manifest needs a config object and an integer seed")
     # the manifest is data: a value its own checks reject is a DataError
     try:
-        schema = FeatureSchema.from_dict(manifest["schema"])
-        if schema.fingerprint() != manifest["schema_fingerprint"]:
+        manifest = from_dict(CheckpointManifest, read_json(prefix + ".json", "checkpoint manifest"))
+        if manifest.schema.fingerprint() != manifest.schema_fingerprint:
             raise DataError("checkpoint schema does not match its recorded fingerprint")
-        model = MODELS[kind](schema, seed, config)
+        model = build_model(manifest.kind, manifest.schema, manifest.seed, manifest.config)
     except ConfigError as exc:
         raise DataError(f"{prefix}.json: {exc}") from None
     with open(prefix + ".bin", "rb") as fh:
         raw = fh.read()
-    digest = manifest.get("bin_sha256")
-    if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
+    if manifest.bin_sha256 not in (None, hashlib.sha256(raw).hexdigest()):
         raise DataError(f"{prefix}.bin: the parameter bytes do not match the manifest's SHA-256")
     values, _ = ad._pack(model.parameters())
     if len(raw) != 8 * values.size:

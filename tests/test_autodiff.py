@@ -368,6 +368,17 @@ class TestBackward:
         with pytest.raises(ShapeError):
             tape.backward(y)
 
+    def test_a_scalar_leaf_loss_gets_a_unit_gradient(self):
+        x = tensor([2.0], requires_grad=True)
+        ad.Tape().backward(x)  # no op recorded: d(x)/d(x) = 1
+        assert np.array_equal(x.grad, [1.0])
+
+    def test_zero_grad_allocates_a_missing_gradient(self):
+        x = tensor([[1.0, 2.0]])
+        assert x.grad is None
+        x.zero_grad()
+        assert np.array_equal(x.grad, [[0.0, 0.0]])
+
     def test_eval_mode_records_nothing(self):
         x = tensor([1.0], requires_grad=True)
         y = ad.mul(x, x)
@@ -662,3 +673,45 @@ def test_matmul_gives_no_gradient_to_an_untracked_operand():
     ga, gb = tape.nodes[0].vjp(np.ones_like(out.data))
     assert ga is None
     assert np.array_equal(gb, inputs[0].data.T @ np.ones_like(out.data))
+
+
+def _zeros(*shape):
+    return tensor(np.zeros(shape))
+
+
+def _attention(x=(2, 3, 4), n_heads=2, gain=(4,), w_o=(4, 4)):
+    w = [_zeros(4, 4) for _ in range(3)]
+    return ad.attention_sublayer(_zeros(*x), _zeros(*gain), _zeros(4), *w, _zeros(*w_o), n_heads)
+
+
+def _ffn(x=(2, 3, 4), w2=(5, 4), mask_tokens=None):
+    return ad.ffn_sublayer(
+        _zeros(*x), _zeros(4), _zeros(4), _zeros(4, 5), _zeros(5), _zeros(*w2), _zeros(4),
+        mask_tokens=mask_tokens,
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: ad.matmul(_zeros(3), _zeros(3, 2)), "at least 2 dims", id="matmul-vector"),
+        pytest.param(lambda: ad.transpose(_zeros(3)), "at least 2 dims", id="transpose-vector"),
+        pytest.param(lambda: ad.add_bias(_zeros(2, 3), _zeros(4)), "add_bias", id="add_bias-width"),
+        pytest.param(lambda: ad.add_bias(_zeros(2, 3), _zeros(1, 3)), "add_bias", id="add_bias-matrix"),
+        pytest.param(lambda: ad.merge_heads(_zeros(3, 4)), r"\[h, \.\.\., t, d_k\]", id="merge_heads-2d"),
+        pytest.param(lambda: ad.select_row(_zeros(3), 0), "at least 2 dims", id="select_row-vector"),
+        pytest.param(lambda: ad.select_row(_zeros(2, 3), 2), "out of range", id="select_row-index"),
+        pytest.param(lambda: ad.reshape(_zeros(2, 3), (4, 2)), "cannot reshape", id="reshape-size"),
+        pytest.param(lambda: _zeros(2).item(), "single-element", id="item"),
+        pytest.param(lambda: _attention(x=(4,)), r"x\[\.\.\., t, d\]", id="attention-vector-x"),
+        pytest.param(lambda: _attention(gain=(3,)), "gain/bias", id="attention-gain"),
+        pytest.param(lambda: _attention(n_heads=3), "into 3 heads", id="attention-heads"),
+        pytest.param(lambda: _attention(w_o=(4, 3)), "projections", id="attention-projection"),
+        pytest.param(lambda: _ffn(x=(4,)), r"x\[\.\.\., t, d\]", id="ffn-vector-x"),
+        pytest.param(lambda: _ffn(w2=(5, 3)), "w2", id="ffn-weights"),
+        pytest.param(lambda: _ffn(mask_tokens=2), "mask for 2 tokens", id="ffn-mask-tokens"),
+    ],
+)
+def test_op_rejects_a_wrong_shape(call, message):
+    with pytest.raises(ShapeError, match=message):
+        call()

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -156,6 +157,19 @@ def test_repeated_header_name_exits_3(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "repeated header names ['label']" in err
+    assert "Traceback" not in err
+
+
+def test_empty_csv_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"")
+    rc = main([
+        "train", "--data", str(path), "--target", "label", "--model", "logistic",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "file is empty" in err
     assert "Traceback" not in err
 
 
@@ -681,6 +695,25 @@ def test_manifest_unknown_config_key_exits_3(trained_dir, data_path, tmp_path, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("model", ["mlp", "transformer"])
+def test_numeric_failure_exits_4_with_one_line(data_path, tmp_path, capsys, model):
+    # an lr of 1e300 overflows the first update; the op check names the failure, numpy stays quiet
+    tiny = {"embed_dim": 8, "n_heads": 2, "n_blocks": 1, "ffn_dim": 8} if model == "transformer" else {}
+    cfg = run_config_file(
+        tmp_path, model=model, model_config=tiny,
+        train_config={"lr": 1e300, "weight_decay": 0, "max_epochs": 3},
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--config", cfg, "--data", data_path, "--target", "label",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
+    assert "Warning" not in err
+    assert not caught, [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("command", ["train", "cv"])
 def test_nonpositive_eps_adam_exits_2(data_path, tmp_path, capsys, command):
     cfg = run_config_file(tmp_path, train_config={"max_epochs": 1, "eps_adam": 0})
@@ -751,6 +784,13 @@ def _unknown_column_kind(manifest):
     manifest["schema"]["columns"][0]["kind"] = "ordinal"
 
 
+def _set_column(**values):
+    def edit(manifest):
+        manifest["schema"]["columns"][0].update(values)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -762,10 +802,13 @@ def _unknown_column_kind(manifest):
         _set("config", [], kind="transformer"),
         _set("kind", ["x"]),
         _set("config", {"embed_dim": "64"}, kind="transformer"),
+        _set_column(std=-1.0),
+        _set_column(vocabulary=["u", "u"]),
     ],
     ids=[
         "empty-schema", "column-without-kind", "unknown-column-kind", "string-seed",
         "list-config", "list-transformer-config", "list-kind", "string-embed-dim",
+        "negative-std", "repeated-vocabulary-entry",
     ],
 )
 def test_malformed_manifest_value_exits_3(trained_dir, data_path, tmp_path, capsys, edit):

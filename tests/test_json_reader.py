@@ -1,5 +1,5 @@
 """The one JSON reader (``errors.from_dict``) behind run configs, train
-and model configs, generator specs and checkpoint schemas: unknown keys,
+and model configs, generator specs and checkpoint manifests: unknown keys,
 missing fields and wrongly typed values are config errors (exit 2, or
 exit 3 inside a checkpoint manifest), and no value is ever cast. Spec
 and run-config documents and damaged checkpoints are fuzzed through the
@@ -61,6 +61,14 @@ class Tree:
         check_field_types(self)
 
 
+@dataclass(frozen=True)
+class Branch:
+    leaf: Leaf
+
+    def __post_init__(self):
+        check_field_types(self)
+
+
 def run(argv):
     """(exit code, stderr) of one ``tabformer`` invocation."""
     err = io.StringIO()
@@ -107,6 +115,13 @@ class TestFromDict:
     def test_reads_nested_dataclasses_and_tuples(self):
         tree = from_dict(Tree, {"leaves": [{"a": 1}, {"a": 2, "b": 3}], "pair": [4, 5]})
         assert tree == Tree((Leaf(1), Leaf(2, 3)), (4, 5))
+
+    def test_reads_a_dataclass_field_from_an_object(self):
+        assert from_dict(Branch, {"leaf": {"a": 1}}) == Branch(Leaf(1))
+        with pytest.raises(ConfigError, match="unknown config fields for Leaf"):
+            from_dict(Branch, {"leaf": {"a": 1, "c": 2}})
+        with pytest.raises(ConfigError, match="Branch.leaf must be Leaf"):
+            from_dict(Branch, {"leaf": [1]})
 
     @pytest.mark.parametrize("doc", [[], "x", None, 3])
     def test_non_object_is_rejected(self, doc):
@@ -187,10 +202,12 @@ class TestFromDict:
         lambda d: d["columns"][0].update(width=3),
         lambda d: d["interactions"][0].pop("weight"),
         lambda d: d.update(seed=-3),
+        lambda d: d["columns"][0].update(kind="ordinal"),
     ],
     ids=[
         "string-missing", "float-categories", "string-weight", "float-pair",
         "unknown-key", "unknown-column-key", "interaction-without-weight", "negative-seed",
+        "ordinal-column",
     ],
 )
 def test_malformed_spec_exits_2(tmp_path, edit):
@@ -218,10 +235,13 @@ def test_synth_negative_seed_flag_exits_2(tmp_path):
         {"model": "mlp", "model_config": {"hidden": 5}},
         {"model": "mlp", "model_config": {"hidden": [2.7]}},
         {"model": "mlp", "model_config": {"hidden": [True]}},
+        {"schema_hints": {"x0": "ordinal"}},
+        {"model": "transformer", "model_config": {"layer_norm_eps": 0}},
     ],
     ids=[
         "unknown-train-key", "seed-in-train-config", "negative-seed",
         "string-hidden", "int-hidden", "float-hidden", "bool-hidden",
+        "ordinal-schema-hint", "zero-layer-norm-eps",
     ],
 )
 def test_bad_run_config_exits_2(data_path, tmp_path, doc):
@@ -272,6 +292,37 @@ def test_malformed_manifest_exits_3(data_path, mlp_dir, tmp_path, edit):
     ])
     assert rc == 3
     assert "Traceback" not in err
+
+
+def importance_with_manifest(data_path, mlp_dir, out, manifest, encoding="utf-8"):
+    """(exit code, stderr) of ``importance`` on mlp_dir's parameters with
+    ``manifest`` as their manifest, written in ``encoding``; reports go to ``out``."""
+    out.mkdir()
+    (out / "model.json").write_text(json.dumps(manifest), encoding=encoding)
+    (out / "model.bin").write_bytes((mlp_dir / "model.bin").read_bytes())
+    return run([
+        "importance", "--data", data_path, "--target", "label",
+        "--checkpoint", str(out / "model"), "--out", str(out), "--repeats", "1",
+    ])
+
+
+def test_unknown_manifest_key_exits_3_and_is_named(data_path, mlp_dir, tmp_path):
+    manifest = json.loads((mlp_dir / "model.json").read_text(encoding="utf-8"))
+    rc, err = importance_with_manifest(data_path, mlp_dir, tmp_path / "o", {**manifest, "extra": 1})
+    assert rc == 3
+    assert "unknown config fields for CheckpointManifest: ['extra']" in err
+    assert "Traceback" not in err
+
+
+def test_manifest_with_a_byte_order_mark_reads_as_without(data_path, mlp_dir, tmp_path):
+    manifest = json.loads((mlp_dir / "model.json").read_text(encoding="utf-8"))
+    outs = [tmp_path / encoding for encoding in ("utf-8", "utf-8-sig")]
+    for out in outs:
+        rc, err = importance_with_manifest(data_path, mlp_dir, out, manifest, encoding=out.name)
+        assert rc == 0, err
+    assert (outs[1] / "model.json").read_bytes().startswith(b"\xef\xbb\xbf")
+    for name in ("importance.json", "importance.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,23 @@ class TestForward:
                 with pytest.raises(ShapeError, match="length 4"):
                     score(bad)
 
+    @pytest.mark.parametrize("kind", ["transformer", "mlp", "logistic"])
+    @pytest.mark.parametrize(
+        "rows, row, cause",
+        [
+            ([[0.5, 1.0, -2.0, 2.0], [0.3]], [0.5, 1.0, [2.0], 2.0], "sequence"),
+            ([["x", 1.0, 0.25, 2.0]], ["x", 1.0, 0.25, 2.0], "could not convert"),
+            ([[0.5, object(), 0.25, 2.0]], [0.5, object(), 0.25, 2.0], "real number"),
+        ],
+        ids=["ragged", "text", "object"],
+    )
+    def test_rows_numpy_cannot_read_as_numbers_are_a_shape_error(self, kind, rows, row, cause):
+        config = tiny_config().to_dict() if kind == "transformer" else None
+        model = build_model(kind, mixed_schema(), seed=5, config=config)
+        for score, X in ((model.predict_proba, rows), (model.forward_batch, rows), (model.forward, row)):
+            with pytest.raises(ShapeError, match=f"rows of 4 numbers .*{cause}"):
+                score(X)
+
     def test_train_mode_needs_rng_when_dropout_on(self):
         model = Model(tiny_config(dropout=0.2), numeric_schema(3), seed=17)
         with pytest.raises(ConfigError, match="dropout requires an explicit rng"):
