@@ -22,13 +22,16 @@ import numpy as np
 
 from .data import (
     apply_standardizer,
+    encode_as,
     generate_table,
     load_csv,
     load_generator_spec,
     stratified_k_fold,
     write_csv,
 )
-from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict, read_json
+from .errors import (
+    ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict, read_json, write_files,
+)
 from .evaluation import METRIC_NAMES, holdout_split, pr_points_to_csv, run_cv
 from .importance import permutation_importance
 from .model import MODELS, build_model, load_checkpoint, save_checkpoint
@@ -57,16 +60,11 @@ class RunConfig:
     def __post_init__(self):
         check_field_types(self)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    from_dict = classmethod(from_dict)
-
 
 def _load_config_file(path: Optional[str]) -> RunConfig:
     if path is None:
         return RunConfig()
-    return RunConfig.from_dict(read_json(path, "config"))
+    return from_dict(RunConfig, read_json(path, "config"))
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -98,21 +96,16 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise ConfigError(f"missing required setting {name!r} (flag or config file)")
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _echo_config(cfg: RunConfig) -> None:
+def _write_outputs(cfg: RunConfig, texts: dict) -> None:
+    """Write each ``{file name: text}``, and resolved_config.json, into
+    ``cfg.out`` with one ``write_files``: every file whole or not at all."""
+    texts = {**texts, "resolved_config.json": json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"}
     os.makedirs(cfg.out, exist_ok=True)
-    _write_text(
-        os.path.join(cfg.out, "resolved_config.json"),
-        json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    write_files({os.path.join(cfg.out, name): text.encode("utf-8") for name, text in texts.items()})
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig.from_dict({"seed": cfg.seed, **cfg.train_config})
+    return from_dict(TrainConfig, {"seed": cfg.seed, **cfg.train_config})
 
 
 def _load_dataset(cfg: RunConfig):
@@ -152,17 +145,11 @@ def cmd_cv(args: argparse.Namespace) -> int:
         threshold=cfg.threshold,
         seed=cfg.seed,
     )
-    _echo_config(cfg)
-    _write_text(os.path.join(cfg.out, "cv_report.json"), report.to_json())
+    texts = {"cv_report.json": report.to_json()}
     for fold in report.folds:
-        _write_text(
-            os.path.join(cfg.out, f"fold_{fold.fold}_pr.csv"),
-            pr_points_to_csv(fold.pr_points),
-        )
-        _write_text(
-            os.path.join(cfg.out, f"fold_{fold.fold}_trainlog.json"),
-            fold.train_log.to_json() + "\n",
-        )
+        texts[f"fold_{fold.fold}_pr.csv"] = pr_points_to_csv(fold.pr_points)
+        texts[f"fold_{fold.fold}_trainlog.json"] = fold.train_log.to_json() + "\n"
+    _write_outputs(cfg, texts)
     print(f"{cfg.model} {cfg.k_folds}-fold cross-validation on {cfg.data}")
     for name in METRIC_NAMES:
         print(f"  {name:<10s} {report.means[name]:.4f} ± {report.stds[name]:.4f}")
@@ -176,9 +163,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     schema, fit, val = holdout_split(_load_dataset(cfg), cfg.seed)
     model = build_model(cfg.model, schema, seed=cfg.seed, config=cfg.model_config)
     log = train(model, fit, val, _train_config(cfg))
-    _echo_config(cfg)
+    _write_outputs(cfg, {"trainlog.json": log.to_json() + "\n"})
     save_checkpoint(model, os.path.join(cfg.out, "model"))
-    _write_text(os.path.join(cfg.out, "trainlog.json"), log.to_json() + "\n")
     print(
         f"trained {cfg.model} for {log.n_epochs} epochs "
         f"(best epoch {log.best_epoch}, val loss {log.best_val_loss:.6f}, "
@@ -192,11 +178,7 @@ def cmd_importance(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "data", "target", "checkpoint")
     model = load_checkpoint(cfg.checkpoint)
-    dataset = _load_dataset(cfg)
-    if dataset.schema.fingerprint() != model.schema.fingerprint():
-        raise DataError(
-            "dataset schema does not match the checkpoint's schema fingerprint"
-        )
+    dataset = encode_as(_load_dataset(cfg), model.schema)
     assignment = stratified_k_fold(dataset.labels, cfg.k_folds, cfg.seed)
     held_out = assignment.fold_indices(cfg.fold)
     X_val = apply_standardizer(dataset.rows[held_out], model.schema)
@@ -210,9 +192,7 @@ def cmd_importance(args: argparse.Namespace) -> int:
         threshold=cfg.threshold,
         identity_check=cfg.identity_check,
     )
-    _echo_config(cfg)
-    _write_text(os.path.join(cfg.out, "importance.json"), report.to_json())
-    _write_text(os.path.join(cfg.out, "importance.csv"), report.to_csv(cfg.top_n))
+    _write_outputs(cfg, {"importance.json": report.to_json(), "importance.csv": report.to_csv(cfg.top_n)})
     shown = report.features[: min(5, len(report.features))]
     print(f"baseline F1 {report.baseline_f1:.4f} on fold {cfg.fold} ({len(y_val)} rows)")
     for f in shown:

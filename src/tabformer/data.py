@@ -115,11 +115,6 @@ class FeatureSchema:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    from_dict = classmethod(from_dict)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -280,6 +275,22 @@ def load_csv(
         line, tok = _first_bad(tokens, lambda t: _floats([t], math.nan) in ([0.0], [1.0]))
         raise DataError(f"line {line}: label {tok!r} is not 0 or 1")
     return _build_dataset(header, columns, labels, schema_hints, add_missing_indicators)
+
+
+def encode_as(dataset: Dataset, schema: FeatureSchema) -> Dataset:
+    """``dataset`` under ``schema`` (a checkpoint's, say): each categorical
+    cell re-coded to its level's index in ``schema``'s vocabulary, or to
+    the column's UNK index when ``schema`` lacks the level. Column names
+    and kinds must match, or it is a DataError."""
+    if [(c.name, c.kind) for c in dataset.schema.columns] != [(c.name, c.kind) for c in schema.columns]:
+        raise DataError("dataset columns (names and kinds) do not match the checkpoint's schema")
+    rows = dataset.rows.copy()
+    for j in schema.categorical_indices():
+        index = {level: i for i, level in enumerate(schema.columns[j].vocabulary)}
+        unk = schema.columns[j].unk_index
+        codes = [index.get(level, unk) for level in dataset.schema.columns[j].vocabulary]
+        rows[:, j] = np.array(codes + [unk], dtype=np.float64)[rows[:, j].astype(np.int64)]
+    return Dataset(rows=rows, labels=dataset.labels, schema=schema)
 
 
 # ---------------------------------------------------------------------------

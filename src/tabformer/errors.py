@@ -1,7 +1,8 @@
-"""Exception types shared across the package, the file reader behind
-config, generator spec and checkpoint manifest files (``read_json``), and
-the one JSON reader and type check behind every config, generator spec
-and checkpoint manifest.
+"""Exception types shared across the package; the one document reader,
+``read_json`` and ``from_dict``, with its type check, behind every config,
+generator spec and checkpoint manifest; and the one writer,
+``write_files``, behind every checkpoint and report, which writes each
+file whole or not at all.
 
 One rule for all of them: an unknown key, a missing required field or a
 wrongly typed value is a ConfigError. Integers are valid floats (JSON
@@ -13,10 +14,12 @@ The CLI maps these onto exit codes, so everything user-facing should
 raise one of them rather than a bare ValueError.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
 import numbers
+import os
 import typing
 
 
@@ -48,12 +51,32 @@ def read_json(path, what: str):
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def write_files(files: dict) -> None:
+    """Write each ``{path: bytes}`` in full to a temp file beside it,
+    then rename every temp file over its target, so a failed write
+    leaves the old files (or none), never a partial one or a temp file."""
+    temps = []
+    try:
+        for path, data in files.items():
+            temps.append(f"{path}.{os.getpid()}.tmp")
+            with open(temps[-1], "wb") as fh:
+                fh.write(data)
+        for path, tmp in zip(files, temps):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+
+
 def from_dict(cls, doc):
     """The dataclass ``cls`` read from the JSON object ``doc``. Lists
     become tuples, and an object in a field, or in a ``Tuple[X, ...]``
     element, typed as a dataclass ``X`` is read as ``X``;
-    ``cls.__post_init__`` then checks every value. Bound on each config
-    as ``classmethod(from_dict)``."""
+    ``cls.__post_init__`` then checks every value. Callers write
+    ``from_dict(TrainConfig, doc)``; ``GeneratorSpec.from_dict`` first
+    translates its interaction format."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {doc!r}")
     fields = dataclasses.fields(cls)

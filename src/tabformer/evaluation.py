@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -255,7 +255,7 @@ def run_cv(
         {
             "kind": sample_model.kind,
             "model_config": sample_model.config_dict(),
-            "train_config": train_config.to_dict(),
+            "train_config": asdict(train_config),
             "k": k,
             "threshold": threshold,
             "seed": seed,

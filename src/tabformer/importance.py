@@ -40,11 +40,8 @@ class ImportanceReport:
     threshold: float
     features: list  # sorted by rank
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self, top_n: Optional[int] = None) -> str:
         """CSV text: a name holding a comma, a quote or a line break is quoted."""

@@ -19,11 +19,9 @@ encodings, so the forward pass is equivariant under feature permutation.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -32,7 +30,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .data import FeatureSchema
-from .errors import ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict, read_json
+from .errors import (
+    ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict, read_json, write_files,
+)
 from .seeding import stream_rng
 
 
@@ -70,11 +70,6 @@ class ModelConfig:
     @property
     def d_k(self) -> int:
         return self.embed_dim // self.n_heads
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    from_dict = classmethod(from_dict)
 
 
 def _uniform(rng: np.random.Generator, shape, bound: float) -> np.ndarray:
@@ -332,7 +327,7 @@ class Model(ScoringModel):
         return params + [p for layer in self.head for p in layer]
 
     def config_dict(self) -> dict:
-        return self.config.to_dict()
+        return asdict(self.config)
 
     def _logits(self, X: np.ndarray, training: bool, rng) -> Tensor:
         last, where = len(self.blocks) - 1, "tokenizer"
@@ -396,7 +391,7 @@ class LogisticModel(MlpModel):
 # (a transformer config may be passed to them); the transformer rejects
 # unknown keys.
 MODELS = {
-    Model.kind: lambda schema, seed, config: Model(ModelConfig.from_dict(config), schema, seed),
+    Model.kind: lambda schema, seed, config: Model(from_dict(ModelConfig, config), schema, seed),
     LogisticModel.kind: lambda schema, seed, config: LogisticModel(schema, seed),
     MlpModel.kind: lambda schema, seed, config: MlpModel(schema, config.get("hidden", (64, 64)), seed),
 }
@@ -429,9 +424,8 @@ class CheckpointManifest:
 
 
 def save_checkpoint(model, prefix) -> None:
-    """Write ``<prefix>.json`` and ``<prefix>.bin``, each in full to a
-    temp file beside it before both are renamed over their targets, so
-    a failed write leaves the old pair (or none), never a partial file.
+    """Write ``<prefix>.json`` and ``<prefix>.bin`` with ``write_files``,
+    so a failed write leaves the old pair (or none), never a partial file.
     The manifest records the SHA-256 of the ``.bin`` bytes."""
     prefix = str(prefix)
     flat = np.concatenate([p.data.ravel() for p in model.parameters()])
@@ -445,20 +439,7 @@ def save_checkpoint(model, prefix) -> None:
         bin_sha256=hashlib.sha256(raw).hexdigest(),
     )
     text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-    files = {prefix + ".json": text.encode("utf-8"), prefix + ".bin": raw}
-    temps = []
-    try:
-        for path, data in files.items():
-            temps.append(f"{path}.{os.getpid()}.tmp")
-            with open(temps[-1], "wb") as fh:
-                fh.write(data)
-        for path, tmp in zip(files, temps):
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp in temps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-        raise
+    write_files({prefix + ".json": text.encode("utf-8"), prefix + ".bin": raw})
 
 
 def load_checkpoint(prefix):
@@ -468,7 +449,11 @@ def load_checkpoint(prefix):
     prefix = str(prefix)
     # the manifest is data: a value its own checks reject is a DataError
     try:
-        manifest = from_dict(CheckpointManifest, read_json(prefix + ".json", "checkpoint manifest"))
+        doc = read_json(prefix + ".json", "checkpoint manifest")
+    except ConfigError as exc:  # read_json's message names the file
+        raise DataError(str(exc)) from None
+    try:
+        manifest = from_dict(CheckpointManifest, doc)
         if manifest.schema.fingerprint() != manifest.schema_fingerprint:
             raise DataError("checkpoint schema does not match its recorded fingerprint")
         model = build_model(manifest.kind, manifest.schema, manifest.seed, manifest.config)

@@ -10,14 +10,14 @@ other.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, DataError, ShapeError, check_field_types, from_dict
+from .errors import ConfigError, DataError, ShapeError, check_field_types
 from .seeding import stream_rng
 
 _CLAMP_LO = 1e-7
@@ -53,11 +53,6 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must lie in [0, 1 / lr), got {self.weight_decay}")
         if self.eps_adam <= 0:  # AdamW divides 0 by eps for a parameter with no gradient yet
             raise ConfigError(f"eps_adam must be positive, got {self.eps_adam}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    from_dict = classmethod(from_dict)
 
 
 def class_weights(labels: np.ndarray) -> Tuple[float, float]:

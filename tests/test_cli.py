@@ -9,7 +9,7 @@ import io
 import json
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from tabformer.cli import RunConfig, _resolve, build_parser, main
 from tabformer.data import CATEGORICAL, NUMERIC, load_csv
-from tabformer.errors import ConfigError
+from tabformer.errors import ConfigError, from_dict
 from tabformer.model import MODELS, load_checkpoint
 from tabformer.training import TrainConfig
 
@@ -223,13 +223,13 @@ def test_cv_resolved_config_round_trips(data_path, tmp_path):
     ])
     assert rc == 0
     doc = json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))
-    resolved = RunConfig.from_dict(doc)
+    resolved = from_dict(RunConfig, doc)
     assert resolved.threshold == 0.4
     assert resolved.model == "logistic"
     assert resolved.k_folds == 3
     assert resolved.data == data_path
     # echo survives another round trip unchanged
-    assert RunConfig.from_dict(resolved.to_dict()) == resolved
+    assert from_dict(RunConfig, asdict(resolved)) == resolved
 
 
 def test_cv_missing_data_setting_exits_2(tmp_path, capsys):
@@ -415,6 +415,56 @@ def test_importance_schema_mismatch_exits_3(trained_dir, tmp_path):
     assert rc == 3
 
 
+@pytest.fixture(scope="module")
+def city_run(tmp_path_factory):
+    """(table lines, checkpoint prefix): a table with a 3-level categorical
+    column, and a logistic checkpoint trained on it."""
+    out = tmp_path_factory.mktemp("city")
+    rng = np.random.default_rng(11)
+    cities = ["oslo", "lima", "rome"]
+    lines = ["x0,city,label"]
+    for i in range(120):
+        x, city = rng.normal(), cities[i % 3]
+        lines.append(f"{x!r},{city},{int(x + (city == 'rome') + 0.5 * rng.normal() > 0.5)}")
+    (out / "t.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["train", "--data", str(out / "t.csv"), "--target", "label", "--model", "logistic",
+               "--out", str(out), "--seed", "3"])
+    assert rc == 0
+    return lines, str(out / "model")
+
+
+def importance_on(lines, checkpoint, tmp_path):
+    (tmp_path / "t.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return main(["importance", "--data", str(tmp_path / "t.csv"), "--target", "label",
+                 "--checkpoint", checkpoint, "--out", str(tmp_path / "o"), "--repeats", "2"])
+
+
+@pytest.mark.parametrize("change", ["reordered", "unseen-level"])
+def test_importance_scores_a_reordered_table_or_an_unseen_level(city_run, tmp_path, capsys, change):
+    lines, checkpoint = city_run
+    if change == "reordered":  # a "lima" row first, so the table's own vocabulary reorders
+        lines = [lines[0], lines[2], lines[1], *lines[3:]]
+    else:
+        lines = [line.replace(",rome,", ",kyiv,") if i % 2 else line for i, line in enumerate(lines)]
+    assert importance_on(lines, checkpoint, tmp_path) == 0, capsys.readouterr().err
+    assert (tmp_path / "o" / "importance.csv").exists()
+
+
+def test_importance_on_the_training_table_scores_it_as_loaded(city_run, tmp_path):
+    from tabformer.data import apply_standardizer, stratified_k_fold
+    from tabformer.importance import permutation_importance
+
+    lines, checkpoint = city_run
+    assert importance_on(lines, checkpoint, tmp_path) == 0
+    model, ds = load_checkpoint(checkpoint), load_csv(tmp_path / "t.csv", "label")
+    held_out = stratified_k_fold(ds.labels, 5, 0).fold_indices(0)
+    report = permutation_importance(
+        model, apply_standardizer(ds.rows[held_out], model.schema), ds.labels[held_out], repeats=2, seed=0
+    )
+    assert (tmp_path / "o" / "importance.json").read_text(encoding="utf-8") == report.to_json()
+    assert (tmp_path / "o" / "importance.csv").read_text(encoding="utf-8") == report.to_csv()
+
+
 def test_importance_fold_out_of_range_exits_2(trained_dir, data_path, tmp_path):
     rc = main([
         "importance", "--data", data_path, "--target", "label",
@@ -581,7 +631,7 @@ def test_threshold_out_of_range_exits_2(trained_dir, data_path, tmp_path, capsys
 
 def test_run_config_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown config fields"):
-        RunConfig.from_dict({"learning_rate": 0.1})
+        from_dict(RunConfig, {"learning_rate": 0.1})
 
 
 def test_unknown_model_kind_exits_2(data_path, tmp_path):
@@ -764,7 +814,7 @@ def test_wrongly_typed_config_value_exits_2(data_path, tmp_path, capsys, overrid
 
 
 def test_integer_config_value_is_a_valid_float():
-    assert TrainConfig.from_dict({"weight_decay": 0}).weight_decay == 0
+    assert from_dict(TrainConfig, {"weight_decay": 0}).weight_decay == 0
 
 
 def _set(key, value, kind=None):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tabformer.data import (
     GeneratorSpec,
     apply_standardizer,
     bayes_probabilities,
+    encode_as,
     fit_standardizer,
     generate_synthetic,
     generate_table,
@@ -26,7 +28,7 @@ from tabformer.data import (
     true_probabilities,
     write_csv,
 )
-from tabformer.errors import ConfigError, DataError
+from tabformer.errors import ConfigError, DataError, from_dict
 from tabformer.evaluation import VAL_FRACTION, holdout_split
 from tabformer.model import build_model, load_checkpoint, save_checkpoint
 
@@ -65,7 +67,7 @@ class TestSchema:
         schema = FeatureSchema(
             (ColumnSchema("a", NUMERIC, mean=0.5, std=1.25), ColumnSchema("c", CATEGORICAL, ("u", "v")))
         )
-        assert FeatureSchema.from_dict(schema.to_dict()) == schema
+        assert from_dict(FeatureSchema, asdict(schema)) == schema
 
 
 class TestLoadCsv:
@@ -198,6 +200,44 @@ class TestLoadCsv:
         write_lines(p, ["city,label", "oslo,0", ",1", "lima,0"])
         ds = load_csv(p, "label")
         assert ds.schema.columns[0].vocabulary == ("oslo", "", "lima")
+
+
+class TestEncodeAs:
+    LINES = ["age,city,label", "31,oslo,1", "45,lima,0", "12,oslo,1", "50,rome,0"]
+
+    def load(self, tmp_path, lines):
+        p = tmp_path / f"t{len(list(tmp_path.iterdir()))}.csv"
+        write_lines(p, lines)
+        return load_csv(p, "label")
+
+    def test_reordered_rows_encode_like_the_original(self, tmp_path):
+        original = self.load(tmp_path, self.LINES)
+        order = [1, 0, 2, 3]  # "lima" now comes first, so the table's own vocabulary reorders
+        reordered = self.load(tmp_path, [self.LINES[0]] + [self.LINES[1 + i] for i in order])
+        assert reordered.schema != original.schema
+        codes = reordered.rows.copy()
+        got = encode_as(reordered, original.schema)
+        assert np.array_equal(reordered.rows, codes)  # the input is left as it was
+        assert got.schema == original.schema
+        assert np.array_equal(got.rows, original.rows[order])
+        assert np.array_equal(got.labels, original.labels[order])
+
+    def test_unseen_level_is_unk(self, tmp_path):
+        original = self.load(tmp_path, self.LINES)
+        other = self.load(tmp_path, ["age,city,label", "7,kyiv,1", "8,rome,0", "9,kyiv,0"])
+        got = encode_as(other, original.schema)
+        unk = original.schema.columns[1].unk_index
+        assert got.rows[:, 1].tolist() == [unk, 2.0, unk]
+        assert got.rows[:, 0].tolist() == [7.0, 8.0, 9.0]
+
+    @pytest.mark.parametrize(
+        "header, cells", [("age,town,label", "1,oslo"), ("age,city,label", "1,2"), ("city,age,label", "oslo,1")]
+    )
+    def test_other_names_or_kinds_are_a_data_error(self, tmp_path, header, cells):
+        original = self.load(tmp_path, self.LINES)
+        other = self.load(tmp_path, [header, f"{cells},1", f"{cells},0"])
+        with pytest.raises(DataError, match="names and kinds"):
+            encode_as(other, original.schema)
 
 
 class TestDatasetValidation:

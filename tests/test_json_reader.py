@@ -9,7 +9,7 @@ import contextlib
 import io
 import json
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Tuple
 
@@ -171,12 +171,12 @@ class TestFromDict:
         schema = FeatureSchema(
             (ColumnSchema("a", NUMERIC, mean=0.5, std=2.0), ColumnSchema("c", CATEGORICAL, ("u",)))
         )
-        assert json.dumps(schema.to_dict()) == (
+        assert json.dumps(asdict(schema)) == (
             '{"columns": [{"name": "a", "kind": "numeric", "vocabulary": [], '
             '"mean": 0.5, "std": 2.0}, {"name": "c", "kind": "categorical", '
             '"vocabulary": ["u"], "mean": null, "std": null}]}'
         )
-        assert json.dumps(TrainConfig().to_dict()) == (
+        assert json.dumps(asdict(TrainConfig())) == (
             '{"lr": 0.0003, "betas": [0.9, 0.999], "weight_decay": 0.001, "batch_size": 256, '
             '"max_epochs": 200, "patience": 10, "seed": 0, "eps_adam": 1e-08}'
         )
@@ -275,22 +275,29 @@ def mlp_dir(data_path, tmp_path_factory):
         lambda m: m["schema"]["columns"][0].update(mean="0.5"),
         lambda m: m["schema"]["columns"][0].update(vocabulary=[1]),
         lambda m: m["schema"].update(extra=1),
+        lambda m: "{",
+        None,
     ],
     ids=[
         "negative-seed", "string-hidden", "float-hidden",
         "string-mean", "int-vocabulary", "unknown-schema-key",
+        "not-json", "no-manifest-file",
     ],
 )
 def test_malformed_manifest_exits_3(data_path, mlp_dir, tmp_path, edit):
+    """``edit`` changes the manifest in place or returns the file's text;
+    None leaves no manifest file. The message names the file once."""
     manifest = json.loads((mlp_dir / "model.json").read_text(encoding="utf-8"))
-    edit(manifest)
-    (tmp_path / "model.json").write_text(json.dumps(manifest), encoding="utf-8")
+    if edit is not None:
+        text = edit(manifest)
+        (tmp_path / "model.json").write_text(text or json.dumps(manifest), encoding="utf-8")
     (tmp_path / "model.bin").write_bytes((mlp_dir / "model.bin").read_bytes())
     rc, err = run([
         "importance", "--data", data_path, "--target", "label",
         "--checkpoint", str(tmp_path / "model"), "--out", str(tmp_path / "o"), "--repeats", "1",
     ])
     assert rc == 3
+    assert err.count(str(tmp_path / "model.json")) == 1
     assert "Traceback" not in err
 
 
@@ -523,9 +530,9 @@ def test_fuzzed_checkpoint_exits_cleanly(data_path, logistic_dir, damaged, edit,
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
 def test_non_finite_floats_are_rejected(value):
     with pytest.raises(ConfigError, match="lr"):
-        TrainConfig.from_dict({"lr": value})
+        from_dict(TrainConfig, {"lr": value})
     with pytest.raises(ConfigError, match="betas"):
-        TrainConfig.from_dict({"betas": [0.9, value]})
+        from_dict(TrainConfig, {"betas": [0.9, value]})
 
 
 def test_nan_learning_rate_exits_2(data_path, tmp_path):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from tabformer import autodiff as ad
 from tabformer.autodiff import Tensor, grad_check
 from tabformer.data import CATEGORICAL, NUMERIC, ColumnSchema, FeatureSchema
-from tabformer.errors import ConfigError, DataError, NumericError, ShapeError
+from tabformer.errors import ConfigError, DataError, NumericError, ShapeError, from_dict
 from tabformer.model import (
     LogisticModel,
     MlpModel,
@@ -80,7 +81,7 @@ class TestModelConfig:
 
     def test_dict_round_trip(self):
         cfg = ModelConfig(embed_dim=32, n_heads=4, head_hidden=16)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_dict(ModelConfig, asdict(cfg)) == cfg
 
 
 class TestTokenizer:
@@ -387,7 +388,7 @@ class TestForward:
 
     @pytest.mark.parametrize("kind", ["transformer", "mlp", "logistic"])
     def test_array_like_rows_score_as_arrays(self, kind):
-        config = tiny_config().to_dict() if kind == "transformer" else None
+        config = asdict(tiny_config()) if kind == "transformer" else None
         model = build_model(kind, mixed_schema(), seed=5, config=config)
         rows = [[0.5, 1.0, -2.0, 2.0], [1.5, 0.0, 0.25, 3.0]]
         X = np.array(rows)
@@ -410,7 +411,7 @@ class TestForward:
         ids=["ragged", "text", "object"],
     )
     def test_rows_numpy_cannot_read_as_numbers_are_a_shape_error(self, kind, rows, row, cause):
-        config = tiny_config().to_dict() if kind == "transformer" else None
+        config = asdict(tiny_config()) if kind == "transformer" else None
         model = build_model(kind, mixed_schema(), seed=5, config=config)
         for score, X in ((model.predict_proba, rows), (model.forward_batch, rows), (model.forward, row)):
             with pytest.raises(ShapeError, match=f"rows of 4 numbers .*{cause}"):

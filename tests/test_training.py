@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tabformer.data import (
     generate_synthetic,
     stratified_holdout,
 )
-from tabformer.errors import ConfigError, DataError, ShapeError
+from tabformer.errors import ConfigError, DataError, ShapeError, from_dict
 from tabformer.model import LogisticModel, MlpModel, Model, ModelConfig
 from tabformer.data import CATEGORICAL, ColumnSchema, FeatureSchema, NUMERIC
 from tabformer import training
@@ -110,7 +111,7 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(lr=0.01, seed=5)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_dict(TrainConfig, asdict(cfg)) == cfg
 
 
 class TestClassWeights:
