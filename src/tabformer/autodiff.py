@@ -12,7 +12,10 @@ Design rules:
   token-wise linear, run as one 2-D GEMM) or two N-D operands whose
   leading axes agree (batched products such as per-head attention);
 * every op checks its output for NaN/Inf and raises NumericError, so a
-  numeric blow-up is surfaced at the op that produced it;
+  numeric blow-up is surfaced at the op that produced it. ``dense_stack``
+  checks each layer's affine output instead and names the layer
+  (``hidden i`` or ``output``); no value it leaves unchecked can turn
+  non-finite (see the op);
 * recording only happens under an active Tape. With no tape, ops are
   plain numpy (this is eval mode).
 
@@ -32,7 +35,11 @@ passes.
 Fused ops. ``attention_sublayer`` and ``ffn_sublayer`` each run one
 pre-norm residual sublayer of a transformer block as a single op with
 a hand-written ``vjp`` over the buffers its forward pass saved, and
-one finiteness check on its output. Tiling rule: they walk the leading
+one finiteness check on its output. ``dense_stack`` runs a stack of
+affine layers with a GELU between each two (the MLP, logistic
+regression and the transformer's head) the same way, on the calling
+thread and untiled: one GEMM per layer over every row, as its
+composite runs it. Tiling rule: the sublayers walk the leading
 (sample) axis in equal tiles. ``_tile_rows`` is the most samples whose
 widest intermediate fits a fixed element budget (no setting), and
 ``_tile_bounds`` cuts n samples into k tiles whose sizes differ by at
@@ -289,6 +296,16 @@ def _emit(op: str, data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) ->
 # Ops
 
 
+def _matmul_check(a: tuple, b: tuple):
+    """Reject operand shapes ``matmul`` cannot multiply."""
+    if len(a) < 2 or len(b) < 2:
+        raise ShapeError(f"matmul needs operands of at least 2 dims, got {a} and {b}")
+    if a[-1] != b[-2]:
+        raise ShapeError(f"matmul inner dimensions differ: {a} vs {b}")
+    if len(b) > 2 and a[:-2] != b[:-2]:
+        raise ShapeError(f"matmul leading axes differ: {a} vs {b}")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes.
 
@@ -301,12 +318,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     leading axes summed out when b is shared.
     """
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul needs operands of at least 2 dims, got {ad.shape} and {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {ad.shape} vs {bd.shape}")
-    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul leading axes differ: {ad.shape} vs {bd.shape}")
+    _matmul_check(ad.shape, bd.shape)
     shared = bd.ndim == 2  # one weight matrix for every leading index
     if shared:
         a2 = ad.reshape(-1, ad.shape[-1])
@@ -408,10 +420,15 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     return _emit("mul_scalar", data, (a,), vjp)
 
 
+def _bias_check(x: tuple, b: tuple):
+    """Reject a bias ``add_bias`` cannot add to x."""
+    if len(b) != 1 or x[-1] != b[0]:
+        raise ShapeError(f"add_bias needs x[..., n] and b[n], got {x} and {b}")
+
+
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a length-n bias vector to every row of x[..., n]."""
-    if b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"add_bias needs x[..., n] and b[n], got {x.shape} and {b.shape}")
+    _bias_check(x.shape, b.shape)
     data = x.data + b.data
 
     def vjp(og):
@@ -590,13 +607,12 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    """Logistic function, computed piecewise so large |x| cannot overflow."""
+    """Logistic function, computed piecewise so large |x| cannot overflow:
+    with e = exp(-|x|), 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere."""
     x = a.data
-    s = np.empty_like(x)
-    pos = x >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0, e)
+    s /= 1.0 + e
 
     def vjp(og):
         return (og * s * (1.0 - s),)
@@ -752,7 +768,7 @@ def select_row(x: Tensor, index: int) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
-    if int(np.prod(shape)) != x.data.size:
+    if math.prod(shape) != x.data.size:
         raise ShapeError(f"cannot reshape {x.shape} into {shape}")
     data = x.data.reshape(shape)
 
@@ -1206,6 +1222,80 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
         return g_x + (g_w1(), g_b1(), g_w2(), g_b2())
 
     return _emit("ffn_sublayer", out.reshape(x.shape), (x, ln_g, ln_b, w1, b1, w2, b2), vjp)
+
+
+# ---------------------------------------------------------------------------
+# Fused dense stack (the rules are in the module docstring)
+
+
+def dense_stack(x: Tensor, params: Sequence[Tensor]) -> Tensor:
+    """Affine layers with a GELU between each two, as one op, for x[..., k]
+    and ``params`` = (w0, b0, w1, b1, ...): x W0 + b0, then GELU, W1, b1
+    and so on, with no GELU after the last layer.
+
+    The composite it replaces: per layer ``matmul`` and ``add_bias``, and
+    ``gelu`` before every layer but the first. The forward pass runs the
+    same kernels on the same operands (one 2-D GEMM per layer, the bias
+    added in place, ``_gelu_kernel`` and, under a tape, ``_gelu_slope``),
+    and the vjp applies the primitives' rules in reverse: the output, the
+    input gradient and every parameter gradient are the composite's bits.
+
+    Each layer's affine output is checked once, as ``hidden i`` or, for
+    the last layer, ``output``. That catches every non-finite value: GELU
+    maps finite to finite, a non-finite input reaches every output column
+    of a GEMM, and adding a finite bias keeps it non-finite.
+    """
+    params = tuple(params)
+    if not params or len(params) % 2:
+        raise ShapeError(f"dense_stack needs (w0, b0, w1, b1, ...), got {len(params)} tensors")
+    weights, biases = params[::2], params[1::2]
+    shape = x.shape
+    for w, b in zip(weights, biases):  # every shape before any GEMM, in the composite's words
+        _matmul_check(shape, w.shape)
+        if w.data.ndim != 2:
+            raise ShapeError(f"dense_stack needs 2-D weights, got {w.shape}")
+        shape = shape[:-1] + w.shape[-1:]
+        _bias_check(shape, b.shape)
+    lead = x.shape[:-1]
+    last = len(weights) - 1
+    tape = active_tape()
+    # under a tape: each layer's input as a 2-D matrix, and each GELU's slope
+    ins, slopes = [], []
+    a2 = x.data.reshape(-1, x.shape[-1])
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if i:
+            a2, gauss = np.empty_like(z), np.empty_like(z)
+            slope = None if tape is None else np.empty_like(z)
+            _gelu_kernel(z, a2, slope, gauss)
+            if slope is not None:
+                _gelu_slope(z, gauss, slope)
+                slopes.append(slope)
+        if tape is not None:
+            ins.append(a2)
+        z = a2 @ w.data
+        z += b.data
+        if i < last:  # the last layer's check is ``_emit``'s
+            _finite_or_raise(z, f"hidden {i}: dense_stack")
+    need = [tape is not None and tape.tracks(t) for t in (x,) + params]
+
+    def vjp(og):
+        grads = [None] * len(need)
+        g_nd = og  # the gradient of layer i's affine output, shaped lead + (width,)
+        for i in range(last, -1, -1):
+            g = g_nd.reshape(-1, g_nd.shape[-1])
+            if need[2 * i + 2]:
+                grads[2 * i + 2] = g_nd.sum(axis=tuple(range(g_nd.ndim - 1)))
+            if need[2 * i + 1]:
+                grads[2 * i + 1] = ins[i].T @ g
+            if i:
+                g_a = g @ weights[i].data.T
+                g_a *= slopes[i - 1]
+                g_nd = g_a.reshape(lead + g_a.shape[-1:])
+            elif need[0]:
+                grads[0] = (g @ weights[0].data.T).reshape(x.shape)
+        return tuple(grads)
+
+    return _emit("output: dense_stack", z.reshape(lead + z.shape[-1:]), (x,) + params, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Every model kind shares one interface (``ScoringModel``): a row-width
 check, ``forward_batch``, ``forward(row)`` and a chunked
 ``predict_proba``. One dense stack, built by ``_dense_stack`` and run by
-``_dense``, is the MLP, logistic regression (no hidden layer) and the
-transformer's head. ``MODELS`` maps each kind name to its factory;
-building, checkpoint loading and the CLI's choices all go through it.
+``_dense`` as one ``autodiff.dense_stack`` op, is the MLP, logistic
+regression (no hidden layer) and the transformer's head; a numeric
+failure in it names the layer, "hidden i" or "output". ``MODELS`` maps
+each kind name to its factory; building, checkpoint loading and the
+CLI's choices all go through it.
 
 Architecture: each feature becomes one d-dimensional token (numeric:
 x_j * W_j + b_j; categorical: its rows of one embedding table, UNK last),
@@ -94,12 +96,10 @@ def _dense_stack(rng, prefix: str, dims) -> list:
 
 
 def _dense(h: Tensor, layers) -> Tensor:
-    """Affine layers with a GELU between each two and none after the last."""
-    for i, (w, b) in enumerate(layers):
-        if i:
-            h = ad.gelu(h)
-        h = ad.add_bias(ad.matmul(h, w), b)
-    return h
+    """Affine layers with a GELU between each two and none after the last,
+    run as one ``autodiff.dense_stack`` op over the flattened (w0, b0,
+    w1, b1, ...)."""
+    return ad.dense_stack(h, [p for layer in layers for p in layer])
 
 
 # rows per eval forward in ``ScoringModel.predict_proba``
@@ -302,7 +302,8 @@ class Model(ScoringModel):
     carried through every block as the residual stream. Under a tape, in
     train or eval mode, every op makes a fresh output, so saved state and
     gradients do not change. A ``NumericError`` names where it arose:
-    "tokenizer", "block i" or "head"."""
+    "tokenizer", "block i" or "head", and in the head also its layer
+    ("head: output: dense_stack produced a non-finite value")."""
 
     kind = "transformer"
 

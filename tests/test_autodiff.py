@@ -143,6 +143,21 @@ class TestElementwise:
         out = ad.sigmoid(tensor([-800.0, 800.0])).data
         assert out[0] == 0.0 and out[1] == 1.0
 
+    def test_sigmoid_equals_the_masked_piecewise_form_bitwise(self):
+        # the earlier form: 1 / (1 + exp(-x)) on a mask of x >= 0, exp(x) / (1 + exp(x)) off it
+        edges = [0.0, 1e-300, 36.0, 709.0, 745.0, np.inf, 1.0, 20.0, 37.0, 710.0, 746.0, 5e-324]
+        grid = np.array(edges + [-v for v in edges] + list(np.random.default_rng(4).normal(0, 30, 2000)))
+        want = np.empty_like(grid)
+        pos = grid >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-grid[pos]))
+        ex = np.exp(grid[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        assert ad.sigmoid(tensor(grid)).data.tobytes() == want.tobytes()
+
+    def test_sigmoid_of_nan_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="sigmoid"):
+            ad.sigmoid(tensor([0.5, np.nan, -0.5]))
+
     def test_gelu_against_erf_oracle(self):
         # oracle: x * 0.5 * (1 + erf(x / sqrt(2))) with math.erf
         expected = 1.0 * 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
@@ -629,6 +644,10 @@ def _op_cases():
                 x, g, b, w1, b1, w2, b2, rate=0.5, rng=np.random.default_rng(0)
             ),
             [t(2, 3, 4), t(4), t(4), t(4, 5), t(5), t(5, 4), t(4)],
+        ),
+        "dense_stack": (
+            lambda x, *params: ad.dense_stack(x, params),
+            [t(2, 3, 4), t(4, 5), t(5), t(5, 2), t(2)],
         ),
         "balanced_bce": (
             lambda p: balanced_bce(p, np.array([1.0, 0.0, 1.0]), (0.75, 1.5)),

@@ -745,13 +745,15 @@ def test_manifest_unknown_config_key_exits_3(trained_dir, data_path, tmp_path, c
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("model", ["mlp", "transformer"])
+@pytest.mark.parametrize("model", ["logistic", "mlp", "transformer"])
 def test_numeric_failure_exits_4_with_one_line(data_path, tmp_path, capsys, model):
-    # an lr of 1e300 overflows the first update; the op check names the failure, numpy stays quiet
+    # an lr of 1e300 overflows the first update of a model with a hidden layer; logistic
+    # regression's one affine layer needs weights near the float64 limit, which 1e308 reaches;
+    # the op check names the failure, numpy stays quiet
     tiny = {"embed_dim": 8, "n_heads": 2, "n_blocks": 1, "ffn_dim": 8} if model == "transformer" else {}
     cfg = run_config_file(
         tmp_path, model=model, model_config=tiny,
-        train_config={"lr": 1e300, "weight_decay": 0, "max_epochs": 3},
+        train_config={"lr": 1e308 if model == "logistic" else 1e300, "weight_decay": 0, "max_epochs": 3},
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
