@@ -3,8 +3,11 @@
 Every command is a pure function of (config file, input files, seed);
 rerunning with identical inputs produces byte-identical outputs. JSON
 configs carry anything nested (model_config, train_config); flags
-override scalar config fields. The fully resolved configuration is
-echoed to resolved_config.json in the output directory.
+override scalar config fields. ``RunConfig`` checks itself, so the
+config file must be a valid run config on its own, and the config with
+the given flags laid over it is checked again. The fully resolved
+configuration is echoed to resolved_config.json in the output
+directory; every JSON file is encoded by ``errors.json_text``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -12,10 +15,9 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -30,7 +32,8 @@ from .data import (
     write_csv,
 )
 from .errors import (
-    ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict, read_json, write_files,
+    ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict, json_text, read_json,
+    write_files,
 )
 from .evaluation import METRIC_NAMES, holdout_split, pr_points_to_csv, run_cv
 from .importance import permutation_importance
@@ -38,7 +41,7 @@ from .model import MODELS, build_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     data: Optional[str] = None
     target: Optional[str] = None
@@ -59,35 +62,28 @@ class RunConfig:
 
     def __post_init__(self):
         check_field_types(self)
-
-
-def _load_config_file(path: Optional[str]) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    return from_dict(RunConfig, read_json(path, "config"))
+        if self.model not in MODELS:
+            raise ConfigError(f"unknown model kind {self.model!r}")
+        if "seed" in self.train_config:
+            raise ConfigError("train_config may not set 'seed'; set the top-level 'seed' or pass --seed")
+        if self.k_folds < 2:
+            raise ConfigError(f"k_folds must be at least 2, got {self.k_folds}")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
+        if self.top_n is not None and self.top_n < 1:
+            raise ConfigError(f"top_n must be at least 1, got {self.top_n}")
+        if not 0 <= self.fold < self.k_folds:
+            raise ConfigError(f"fold must lie in [0, {self.k_folds}), got {self.fold}")
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    """Config file first, then explicit flags override: every option
-    named after a RunConfig field defaults to None, meaning "not given"."""
-    cfg = _load_config_file(getattr(args, "config", None))
+    """The config file (or the defaults), with every flag that was given
+    laid over it: each option named after a RunConfig field defaults to
+    None, meaning "not given". RunConfig checks the file, then the result."""
+    path = getattr(args, "config", None)
+    cfg = RunConfig() if path is None else from_dict(RunConfig, read_json(path, "config"))
     names = {f.name for f in fields(RunConfig)}
-    for name, value in vars(args).items():
-        if name in names and value is not None:
-            setattr(cfg, name, value)
-    if cfg.model not in MODELS:
-        raise ConfigError(f"unknown model kind {cfg.model!r}")
-    if "seed" in cfg.train_config:
-        raise ConfigError("train_config may not set 'seed'; set the top-level 'seed' or pass --seed")
-    if cfg.k_folds < 2:
-        raise ConfigError(f"k_folds must be at least 2, got {cfg.k_folds}")
-    if not 0.0 < cfg.threshold < 1.0:  # NaN fails this too
-        raise ConfigError(f"threshold must lie in (0, 1), got {cfg.threshold}")
-    if cfg.top_n is not None and cfg.top_n < 1:
-        raise ConfigError(f"top_n must be at least 1, got {cfg.top_n}")
-    if not 0 <= cfg.fold < cfg.k_folds:
-        raise ConfigError(f"fold must lie in [0, {cfg.k_folds}), got {cfg.fold}")
-    return cfg
+    return replace(cfg, **{name: v for name, v in vars(args).items() if name in names and v is not None})
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -99,7 +95,7 @@ def _require(cfg: RunConfig, *names: str) -> None:
 def _write_outputs(cfg: RunConfig, texts: dict) -> None:
     """Write each ``{file name: text}``, and resolved_config.json, into
     ``cfg.out`` with one ``write_files``: every file whole or not at all."""
-    texts = {**texts, "resolved_config.json": json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"}
+    texts = {**texts, "resolved_config.json": json_text(asdict(cfg))}
     os.makedirs(cfg.out, exist_ok=True)
     write_files({os.path.join(cfg.out, name): text.encode("utf-8") for name, text in texts.items()})
 
@@ -148,7 +144,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     texts = {"cv_report.json": report.to_json()}
     for fold in report.folds:
         texts[f"fold_{fold.fold}_pr.csv"] = pr_points_to_csv(fold.pr_points)
-        texts[f"fold_{fold.fold}_trainlog.json"] = fold.train_log.to_json() + "\n"
+        texts[f"fold_{fold.fold}_trainlog.json"] = fold.train_log.to_json()
     _write_outputs(cfg, texts)
     print(f"{cfg.model} {cfg.k_folds}-fold cross-validation on {cfg.data}")
     for name in METRIC_NAMES:
@@ -163,7 +159,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     schema, fit, val = holdout_split(_load_dataset(cfg), cfg.seed)
     model = build_model(cfg.model, schema, seed=cfg.seed, config=cfg.model_config)
     log = train(model, fit, val, _train_config(cfg))
-    _write_outputs(cfg, {"trainlog.json": log.to_json() + "\n"})
+    _write_outputs(cfg, {"trainlog.json": log.to_json()})
     save_checkpoint(model, os.path.join(cfg.out, "model"))
     print(
         f"trained {cfg.model} for {log.n_epochs} epochs "

@@ -1,8 +1,9 @@
 """Exception types shared across the package; the one document reader,
 ``read_json`` and ``from_dict``, with its type check, behind every config,
-generator spec and checkpoint manifest; and the one writer,
-``write_files``, behind every checkpoint and report, which writes each
-file whole or not at all.
+generator spec and checkpoint manifest; the one JSON encoder,
+``json_text``, behind every JSON file written (two-space indent, sorted
+keys, a final newline); and the one writer, ``write_files``, behind
+every checkpoint and report, which writes each file whole or not at all.
 
 One rule for all of them: an unknown key, a missing required field or a
 wrongly typed value is a ConfigError. Integers are valid floats (JSON
@@ -49,6 +50,12 @@ def read_json(path, what: str):
         raise ConfigError(f"{what} file not found: {path}") from None
     except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def json_text(doc) -> str:
+    """``doc`` as the text of every JSON file written: two-space indent,
+    sorted keys and a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def write_files(files: dict) -> None:

@@ -28,7 +28,7 @@ from .data import (
     stratified_holdout,
     stratified_k_fold,
 )
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, json_text
 from .training import TrainConfig, TrainLog, train
 
 VAL_FRACTION = 0.125
@@ -134,6 +134,7 @@ class FoldReport:
         return getattr(self.metrics, name)
 
     def to_dict(self) -> dict:
+        """The fold's metrics; its PR curve goes to ``fold_<i>_pr.csv`` only."""
         return {
             "fold": self.fold,
             "threshold": self.threshold,
@@ -144,7 +145,6 @@ class FoldReport:
                 "tn": self.metrics.tn,
                 "fn": self.metrics.fn,
             },
-            "pr_points": self.pr_points.tolist(),
         }
 
 
@@ -165,7 +165,7 @@ class CvReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
 
 def aggregate_folds(folds: Sequence[FoldReport], config_fingerprint: str) -> CvReport:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, json_text
 from .evaluation import confusion_metrics
 from .seeding import stream_rng
 
@@ -41,7 +40,7 @@ class ImportanceReport:
     features: list  # sorted by rank
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        return json_text(asdict(self))
 
     def to_csv(self, top_n: Optional[int] = None) -> str:
         """CSV text: a name holding a comma, a quote or a line break is quoted."""

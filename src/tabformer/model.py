@@ -2,12 +2,13 @@
 
 Every model kind shares one interface (``ScoringModel``): a row-width
 check, ``forward_batch``, ``forward(row)`` and a chunked
-``predict_proba``. One dense stack, built by ``_dense_stack`` and run by
-``_dense`` as one ``autodiff.dense_stack`` op, is the MLP, logistic
-regression (no hidden layer) and the transformer's head; a numeric
-failure in it names the layer, "hidden i" or "output". ``MODELS`` maps
-each kind name to its factory; building, checkpoint loading and the
-CLI's choices all go through it.
+``predict_proba``. One dense stack, built by ``_dense_stack`` as the
+flat parameter list (w0, b0, w1, b1, ...) that ``autodiff.dense_stack``
+runs as one op, is the MLP, logistic regression (no hidden layer) and
+the transformer's head; a numeric failure in it names the layer,
+"hidden i" or "output". ``MODELS`` maps each kind name to its factory;
+building, checkpoint loading and the CLI's choices all go through it.
+A checkpoint manifest is encoded by ``errors.json_text``.
 
 Architecture: each feature becomes one d-dimensional token (numeric:
 x_j * W_j + b_j; categorical: its rows of one embedding table, UNK last),
@@ -22,7 +23,6 @@ encodings, so the forward pass is equivariant under feature permutation.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
@@ -33,7 +33,8 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .data import FeatureSchema
 from .errors import (
-    ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict, read_json, write_files,
+    ConfigError, DataError, NumericError, ShapeError, check_field_types, from_dict, json_text, read_json,
+    write_files,
 )
 from .seeding import stream_rng
 
@@ -87,19 +88,14 @@ def _bias(name, n) -> Parameter:
 
 
 def _dense_stack(rng, prefix: str, dims) -> list:
-    """[(weight, bias), ...] mapping dims[0] -> ... -> dims[-1], drawn
-    from ``rng`` in layer order."""
+    """[w0, b0, w1, b1, ...] mapping dims[0] -> ... -> dims[-1], drawn
+    from ``rng`` in layer order: the parameters ``autodiff.dense_stack``
+    takes, which runs affine layers with a GELU between each two."""
     return [
-        (_matrix(rng, f"{prefix}.w{i}", n_in, n_out), _bias(f"{prefix}.b{i}", n_out))
+        p
         for i, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:]))
+        for p in (_matrix(rng, f"{prefix}.w{i}", n_in, n_out), _bias(f"{prefix}.b{i}", n_out))
     ]
-
-
-def _dense(h: Tensor, layers) -> Tensor:
-    """Affine layers with a GELU between each two and none after the last,
-    run as one ``autodiff.dense_stack`` op over the flattened (w0, b0,
-    w1, b1, ...)."""
-    return ad.dense_stack(h, [p for layer in layers for p in layer])
 
 
 # rows per eval forward in ``ScoringModel.predict_proba``
@@ -325,7 +321,7 @@ class Model(ScoringModel):
         for blk in self.blocks:
             params += blk.parameters()
         params += [self.head_ln_g, self.head_ln_b]
-        return params + [p for layer in self.head for p in layer]
+        return params + self.head
 
     def config_dict(self) -> dict:
         return asdict(self.config)
@@ -340,7 +336,7 @@ class Model(ScoringModel):
             where = "head"
             cls = ad.select_row(x, 0)  # the last block kept the classification token only
             h = ad.layer_norm(cls, self.head_ln_g, self.head_ln_b, self.config.layer_norm_eps)
-            return _dense(h, self.head)
+            return ad.dense_stack(h, self.head)
         except NumericError as exc:
             raise NumericError(f"{where}: {exc}") from None
 
@@ -363,13 +359,13 @@ class MlpModel(ScoringModel):
         self.layers = _dense_stack(rng, "mlp", [schema.n_features, *self.hidden, 1])
 
     def parameters(self) -> list:
-        return [p for layer in self.layers for p in layer]
+        return list(self.layers)
 
     def config_dict(self) -> dict:
         return {"hidden": list(self.hidden)}
 
     def _logits(self, X: np.ndarray, training: bool, rng) -> Tensor:
-        return _dense(Tensor(X), self.layers)
+        return ad.dense_stack(Tensor(X), self.layers)
 
 
 class LogisticModel(MlpModel):
@@ -381,7 +377,7 @@ class LogisticModel(MlpModel):
 
     def __init__(self, schema: FeatureSchema, seed: int = 0):
         super().__init__(schema, hidden=(), seed=seed)
-        ((self.w, self.b),) = self.layers
+        self.w, self.b = self.layers
 
     def config_dict(self) -> dict:
         return {}
@@ -439,8 +435,7 @@ def save_checkpoint(model, prefix) -> None:
         seed=model.seed,
         bin_sha256=hashlib.sha256(raw).hexdigest(),
     )
-    text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-    write_files({prefix + ".json": text.encode("utf-8"), prefix + ".bin": raw})
+    write_files({prefix + ".json": json_text(asdict(manifest)).encode("utf-8"), prefix + ".bin": raw})
 
 
 def load_checkpoint(prefix):

@@ -9,15 +9,14 @@ other.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, DataError, ShapeError, check_field_types
+from .errors import ConfigError, DataError, ShapeError, check_field_types, json_text
 from .seeding import stream_rng
 
 _CLAMP_LO = 1e-7
@@ -159,17 +158,10 @@ class TrainLog:
         return len(self.train_losses)
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.n_epochs,
-            "train_losses": list(self.train_losses),
-            "val_losses": list(self.val_losses),
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "stop_reason": self.stop_reason,
-        }
+        return {"epochs": self.n_epochs, **asdict(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json_text(self.to_dict())
 
 
 def _evaluate_loss(model, X: np.ndarray, y: np.ndarray, weights) -> float:

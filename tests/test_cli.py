@@ -4,9 +4,11 @@ and rerun determinism verified byte for byte."""
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from dataclasses import asdict, fields
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from tabformer.cli import RunConfig, _resolve, build_parser, main
 from tabformer.data import CATEGORICAL, NUMERIC, load_csv
-from tabformer.errors import ConfigError, from_dict
+from tabformer.errors import ConfigError, from_dict, json_text
 from tabformer.model import MODELS, load_checkpoint
 from tabformer.training import TrainConfig
 
@@ -194,6 +196,8 @@ def test_cv_writes_all_artifacts(data_path, tmp_path, capsys):
     report = json.loads((out / "cv_report.json").read_text(encoding="utf-8"))
     assert set(report["means"]) == {"accuracy", "precision", "recall", "f1", "auprc"}
     assert len(report["folds"]) == 3
+    for fold in report["folds"]:  # the PR curve is in fold_<i>_pr.csv only
+        assert set(fold) == {"fold", "threshold", "counts", *report["means"]}
     console = capsys.readouterr().out
     assert "f1" in console and "±" in console
 
@@ -621,12 +625,109 @@ def test_threshold_out_of_range_exits_2(trained_dir, data_path, tmp_path, capsys
             if command == "importance":
                 args += ["--checkpoint", str(trained_dir / "model")]
             assert main(args) == 2, (command, value)
-            assert "threshold must lie in (0, 1)" in capsys.readouterr().err
+            # NaN is not a finite float, so the type check names it, as it does in a config file
+            expected = "threshold must lie in (0, 1)"
+            if value == "nan":
+                expected = "RunConfig.threshold must be float, got nan"
+            assert expected in capsys.readouterr().err
             assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, missing",
+    [("cv", "data"), ("cv", "target"), ("train", "data"), ("train", "target"),
+     ("importance", "data"), ("importance", "target"), ("importance", "checkpoint")],
+)
+def test_a_missing_required_setting_exits_2_and_is_named(command, missing, tmp_path, capsys):
+    given = {"data": str(tmp_path / "absent.csv"), "target": "label", "checkpoint": str(tmp_path / "absent")}
+    argv = [command, "--out", str(tmp_path / "o")]
+    for name in ("data", "target") + (("checkpoint",) if command == "importance" else ()):
+        if name != missing:
+            argv += [f"--{name}", given[name]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: missing required setting {missing!r} (flag or config file)\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def every_run_dir(data_path, trained_dir, tmp_path_factory):
+    """Output directories of one cv, one train and one importance run."""
+    root = tmp_path_factory.mktemp("every_run")
+    cfg = run_config_file(root)
+    common = ["--data", data_path, "--target", "label"]
+    runs = {
+        "cv": ["cv", "--config", cfg, *common],
+        "train": ["train", "--config", cfg, *common],
+        "importance": ["importance", *common, "--checkpoint", str(trained_dir / "model"), "--repeats", "2"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(root / name)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", ["cv", "train", "importance"])
+def test_every_json_file_a_command_writes_is_json_text(every_run_dir, command):
+    paths = sorted((every_run_dir / command).glob("*.json"))
+    assert "resolved_config.json" in {p.name for p in paths} and len(paths) >= 2
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert text == json_text(json.loads(text)), path.name
 
 
 # ---------------------------------------------------------------------------
 # config plumbing
+
+
+_OUT_OF_RANGE = [
+    ({"model": "forest"}, "unknown model kind 'forest'"),
+    ({"train_config": {"seed": 1}}, "train_config may not set 'seed'; set the top-level 'seed' or pass --seed"),
+    ({"k_folds": 1}, "k_folds must be at least 2, got 1"),
+    ({"threshold": 0.0}, "threshold must lie in (0, 1), got 0.0"),
+    ({"threshold": 1}, "threshold must lie in (0, 1), got 1"),
+    ({"threshold": -0.5}, "threshold must lie in (0, 1), got -0.5"),
+    ({"top_n": 0}, "top_n must be at least 1, got 0"),
+    ({"fold": 5}, "fold must lie in [0, 5), got 5"),
+    ({"fold": -1}, "fold must lie in [0, 5), got -1"),
+    ({"fold": 3, "k_folds": 3}, "fold must lie in [0, 3), got 3"),
+]
+
+
+@pytest.mark.parametrize("values, message", _OUT_OF_RANGE)
+def test_run_config_rejects_an_out_of_range_value_read_or_replaced(values, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        from_dict(RunConfig, values)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(RunConfig(), **values)
+
+
+def test_run_config_is_frozen():
+    cfg = RunConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.fold = 9
+    assert cfg.fold == 0
+
+
+@pytest.mark.parametrize(
+    "in_file, argv, message",
+    [
+        ({"fold": 6}, ["--k-folds", "8"], "fold must lie in [0, 5), got 6"),
+        ({"threshold": 2.0}, ["--threshold", "0.5"], "threshold must lie in (0, 1), got 2.0"),
+        ({"k_folds": "5"}, ["--k-folds", "3"], "RunConfig.k_folds must be int, got '5'"),
+        ({"fold": "1"}, ["--fold", "1"], "RunConfig.fold must be int, got '1'"),
+    ],
+)
+def test_a_config_file_is_checked_on_its_own_before_the_flags(in_file, argv, message, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(in_file), encoding="utf-8")
+    rc = main([
+        "importance", "--config", str(path), "--data", str(tmp_path / "absent.csv"), "--target", "label",
+        "--checkpoint", str(tmp_path / "absent"), "--out", str(tmp_path / "o"), *argv,
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_config_rejects_unknown_fields():

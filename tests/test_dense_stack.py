@@ -38,7 +38,7 @@ def stack(kind):
         return 9, MlpModel(SCHEMA, seed=3).parameters()
     hidden = 16 if kind == "head_hidden" else None
     model = Model(ModelConfig(head_hidden=hidden), SCHEMA, seed=3)
-    return 64, [p for layer in model.head for p in layer]
+    return 64, model.head
 
 
 KINDS = ["logistic", "mlp", "head", "head_hidden"]

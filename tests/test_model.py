@@ -372,21 +372,21 @@ class TestForward:
     @pytest.mark.parametrize("where", ["tokenizer", "head"])
     def test_nan_failure_names_the_tokenizer_and_the_head(self, where):
         model = Model(tiny_config(n_blocks=2), numeric_schema(3), seed=16)
-        broken = model.tokenizer.numeric_w if where == "tokenizer" else model.head[0][0]
+        broken = model.tokenizer.numeric_w if where == "tokenizer" else model.head[0]
         broken.data[...] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=f"^{where}: "):
             model.predict_proba(np.ones((1, 3)))
 
     def test_nan_failure_names_the_heads_layer(self):
         model = Model(tiny_config(n_blocks=1, head_hidden=4), numeric_schema(3), seed=16)
-        model.head[-1][0].data[...] = np.inf
+        model.head[-2].data[...] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^head: output: dense_stack "):
             model.predict_proba(np.ones((1, 3)))
 
     def test_mlp_nan_failure_names_the_layer(self):
         model = MlpModel(numeric_schema(3), seed=16)
-        model.layers[1][0].data[...] = np.inf  # mlp.w1
-        assert model.layers[1][0].name == "mlp.w1"
+        model.layers[2].data[...] = np.inf  # mlp.w1
+        assert model.layers[2].name == "mlp.w1"
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^hidden 1: dense_stack "):
             model.predict_proba(np.ones((1, 3)))
 
