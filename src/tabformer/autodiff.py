@@ -73,14 +73,16 @@ tiling, layouts, GEMM order and rng use, not the formulas, which keep
 their own checks: softmax and layer norm against direct evaluation,
 scalar attention (acceptance criterion 02), ``grad_check`` of every
 op, and dropout's scale. In-place rule: ``in_place=True`` lets a fused
-op write its output over x's buffer. It does so only with no active
-tape and an output shaped like x, and otherwise allocates as without
-the permission: under a tape, and for a ``last_only`` attention over
-more than one token, whose output is one row. Writing over x is safe
-because each tile reads its own rows of x before it writes them and no
-tile reads another's rows, so an eval forward can carry one residual
-buffer through every block. Without ``in_place`` an op never writes
-into its input.
+op write its output over x's buffer. It does so whenever the output is
+shaped like x, with or without an active tape, and otherwise allocates
+as without the permission: for a ``last_only`` attention over more than
+one token, whose output is one row. Writing over x is safe because each
+tile reads its own rows of x before it writes them, no tile reads
+another's rows, and no vjp reads x: it reads the buffers its forward
+pass saved and x's shape only. So a forward pass, recorded or not, can
+carry one residual buffer through every block, when nothing else reads
+x's values afterwards. Without ``in_place`` an op never writes into its
+input.
 
 Last-token rule. ``attention_sublayer(..., last_only=True)`` returns
 the last token's row only, [..., 1, d]: every token is normalised and
@@ -1064,8 +1066,9 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
     Every token is still normalised and projected to keys and values,
     and both masks are still drawn at their full shapes.
 
-    ``in_place`` lets the op write its output over x's buffer (the
-    in-place rule in the module docstring).
+    ``in_place`` lets the op write its output over x's buffer, under a
+    tape too; a ``last_only`` output over more than one token is a new
+    array (the in-place rule in the module docstring).
     """
     xs = _sublayer_input("attention_sublayer", x, ln_g, ln_b, eps, rate, rng)
     n, t, d = xs.shape
@@ -1076,7 +1079,7 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
             raise ShapeError(f"attention_sublayer needs ({d}, {d}) projections, got {w.shape}")
     tq = 1 if last_only else t  # query rows: the last tq tokens
     qs = slice(t - tq, t)
-    out = xs if in_place and tq == t and active_tape() is None else np.empty((n, tq, d))
+    out = xs if in_place and tq == t else np.empty((n, tq, d))
     h, scale, keep_p, keep_o = n_heads, 1.0 / (1.0 - rate), None, None
     if rate > 0.0:
         keep_p = rng.random((h, n, t, t))[:, :, qs] >= rate
@@ -1155,8 +1158,8 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
     (the output of a ``last_only`` attention sublayer), is the token
     count the mask is drawn for; x uses its last t rows.
 
-    ``in_place`` lets the op write its output over x's buffer (the
-    in-place rule in the module docstring).
+    ``in_place`` lets the op write its output over x's buffer, under a
+    tape too (the in-place rule in the module docstring).
 
     The GELU runs the composite's kernels (``_gelu_kernel``,
     ``_gelu_slope``) on each tile. Under a tape the op keeps the
@@ -1180,7 +1183,7 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
             f"ffn_sublayer needs w1[{d}, f], b1[f], w2[f, {d}], b2[{d}]; "
             f"got {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}"
         )
-    out = xs if in_place and active_tape() is None else np.empty((n, t, d))
+    out = xs if in_place else np.empty((n, t, d))
     scale, keep_o = 1.0 / (1.0 - rate), None
     if rate > 0.0:
         keep_o = rng.random((n, drawn, d))[:, drawn - t:] >= rate

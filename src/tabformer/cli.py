@@ -72,6 +72,8 @@ class RunConfig:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.top_n is not None and self.top_n < 1:
             raise ConfigError(f"top_n must be at least 1, got {self.top_n}")
+        if self.repeats < 1:
+            raise ConfigError(f"repeats must be at least 1, got {self.repeats}")
         if not 0 <= self.fold < self.k_folds:
             raise ConfigError(f"fold must lie in [0, {self.k_folds}), got {self.fold}")
 

@@ -190,11 +190,11 @@ class TransformerBlock:
     [..., 1, d]: every token still feeds keys and values, and the
     dropout masks are still drawn at their full shapes (the last-token
     rule in ``autodiff``). ``in_place`` is passed to both sublayers
-    unchanged (the in-place rule in ``autodiff``): with no active tape a
-    full attention sublayer writes over x, and the FFN over the
-    attention output, which is a new one-row array under ``last_only``;
-    under a tape both allocate. The bytes are those of the allocating
-    path; by default x is left unchanged.
+    unchanged (the in-place rule in ``autodiff``): with or without a
+    tape, a full attention sublayer writes over x, and the FFN over the
+    attention output, which is a new one-row array under ``last_only``.
+    The bytes and gradients are those of the allocating path; by
+    default x is left unchanged.
 
     Attention runs all heads as one batch. q, k and v come from the
     three d x d projections and are split into heads with the head axis
@@ -293,11 +293,11 @@ class Model(ScoringModel):
     token, so the last block runs with ``last_only`` and computes that
     token's row alone; every block still runs through
     ``TransformerBlock.forward``. The blocks always run ``in_place``,
-    because the tokenizer's output is the model's own array: with no
-    active tape, as in ``predict_proba``, it is the one [n, t, d] buffer,
-    carried through every block as the residual stream. Under a tape, in
-    train or eval mode, every op makes a fresh output, so saved state and
-    gradients do not change. A ``NumericError`` names where it arose:
+    because the tokenizer's output is the model's own array and feeds
+    the first block alone: with or without a tape, in train or eval
+    mode, it is the one [n, t, d] buffer, carried through every block as
+    the residual stream. No vjp reads a sublayer's input, so saved state
+    and gradients do not change. A ``NumericError`` names where it arose:
     "tokenizer", "block i" or "head", and in the head also its layer
     ("head: output: dense_stack produced a non-finite value")."""
 

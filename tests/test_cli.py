@@ -489,6 +489,27 @@ def test_importance_fold_is_checked_before_any_file_is_read(data_path, tmp_path,
         assert "fold must lie in [0, 5)" in capsys.readouterr().err
 
 
+def test_importance_repeats_below_one_exits_2_before_any_file_is_read(trained_dir, data_path, tmp_path, capsys):
+    # the same exit whether or not the files exist, from a flag or a config file
+    files = [(str(tmp_path / "absent.csv"), tmp_path / "absent"), (data_path, trained_dir / "model")]
+    for data, checkpoint in files:
+        for repeats in ("0", "-1"):
+            out = tmp_path / "o"
+            rc = main([
+                "importance", "--data", data, "--target", "label",
+                "--checkpoint", str(checkpoint), "--out", str(out), "--repeats", repeats,
+            ])
+            assert rc == 2
+            assert f"repeats must be at least 1, got {repeats}" in capsys.readouterr().err
+            assert not out.exists()
+        rc = main([
+            "importance", "--config", run_config_file(tmp_path, repeats=0), "--data", data,
+            "--target", "label", "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "repeats must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_importance_csv_quotes_names_with_commas_and_quotes(tmp_path):
     names = ["a,b", 'say "hi"', "plain"]
     rng = np.random.default_rng(3)
