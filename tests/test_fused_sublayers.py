@@ -232,12 +232,21 @@ def test_default_training_step_keeps_only_what_backward_reads(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # measured 37.5 MB held and a 51.2-51.6 MB peak with the cold workspace;
-    # a fresh output per sublayer held 42.9 MB and peaked at 56.6-57.0 MB,
+    # measured 24.1 MB held and a 39.5 MB peak with the cold workspace;
+    # saving attention's q, k, v and context held 37.5 MB and peaked at
+    # 51.2-51.6 MB, a fresh output per sublayer as well 42.9 and 56.6-57.0 MB,
     # and saving every tile buffer as well (the layer-norm output, GELU's
-    # input, exp and Phi) held 60.6 MB and peaked at 74.0 MB
-    assert held < 40e6
-    assert peak < 54e6
+    # input, exp and Phi) 60.6 and 74.0 MB
+    assert held < 27e6
+    assert peak < 43e6
+    attentions = [node for node in tape.nodes if node.vjp.__qualname__.startswith("attention_sublayer")]
+    assert len(attentions) == DEFAULT.n_blocks
+    for node in attentions:
+        # dropout's keep masks are boolean, so only the saved floats count
+        shape = node.inputs[0].shape
+        wide = [a for a in closure_arrays(node.vjp) if a.shape == shape and a.dtype == np.float64]
+        assert len(wide) == 1  # layer norm's xhat: q, k, v and the context are recomputed
+        np.testing.assert_allclose(wide[0].mean(axis=-1), 0.0, atol=1e-12)
     ffns = [node for node in tape.nodes if node.vjp.__qualname__.startswith("ffn_sublayer")]
     assert len(ffns) == DEFAULT.n_blocks
     for node in ffns:

@@ -228,5 +228,6 @@ def test_warm_training_step_carries_one_residual_buffer(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # measured 42.1-42.5 MB; a fresh output per sublayer peaked at 47.8 MB
-    assert peak < 45e6
+    # measured 30.3 MB; saving attention's q, k, v and context peaked at
+    # 42.1-42.5 MB, and a fresh output per sublayer as well at 47.8 MB
+    assert peak < 33e6
