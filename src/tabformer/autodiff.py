@@ -40,38 +40,42 @@ affine layers with a GELU between each two (the MLP, logistic
 regression and the transformer's head) the same way, on the calling
 thread and untiled: one GEMM per layer over every row, as its
 composite runs it. Tiling rule: the sublayers walk the leading
-(sample) axis in equal tiles. ``_tile_rows`` is the most samples whose
-widest intermediate fits a fixed element budget (no setting), and
-``_tile_bounds`` cuts n samples into k tiles whose sizes differ by at
-most one: k = ceil(n / rows), capped at n // 2, so a tile holds at
-least 2 samples (a lone sample is one tile) and the count does not
-depend on the number of workers. ``_each_tile`` drives every tile loop
-and makes its buffers: under a tape a tile writes its rows of the
-full-batch buffers that the vjp reads, and every other buffer, with no
-tape every buffer, is per-thread scratch. A fused op saves only what
-its vjp reads. Of layer norm that is the normalised input and 1/std,
-from which the vjp rebuilds the norm's output with the forward pass's
-bits; of the FFN's GELU, the activation and the slope; of attention,
-the softmax scores, and not q, k, v or the context P V. Recompute
-rule: the attention vjp rebuilds the norm's output first, then in each
-of the forward pass's tiles recomputes q, k and v by the forward pass's
-per-tile GEMMs on the same operands and row counts, so they carry the
-forward pass's bits at any width, and writes the context over the
-tile's rows of the context gradient once they are read; w_o's gradient
-is taken from it after the tile loop. That is one GEMM per rebuilt
-value, and no take more. The weight, bias and gain gradients are
-full-batch reductions, and so are the vjp's input-gradient GEMMs.
-Workspace rule: a vjp call takes its full-batch temporaries (the
-dropped output gradient; the context gradient, later the context; the
-query, key and value gradients; the FFN's activation gradient; the
-rebuilt layer-norm output and its gradient) from ``_workspace()``, as
-disjoint stretches of one per-thread buffer that keeps its largest
-size between calls. A take never holds a returned gradient or a buffer
-the forward pass saved, and a vjp joins every helper that reads a take
-before it returns. Oracle rule: the primitive ops stay, and a fused op
-must equal its composite of primitives bit for bit in the forward pass
-and in its input and parameter gradients, and draw its dropout masks
-by the same ``rng.random`` calls in the same order. Op and tile call
+(sample) axis in equal tiles, and ``_each_tile`` drives every tile
+loop. Given the element count of one sample's widest intermediate, it
+tiles by rows, the most samples whose intermediates fit a fixed
+element budget (no setting), and ``_tile_bounds`` cuts n samples into
+k tiles whose sizes differ by at most one: k = ceil(n / rows), capped
+at n // 2, so a tile holds at least 2 samples (a lone sample is one
+tile) and the count does not depend on the number of workers.
+``_each_tile`` also makes the tiles' buffers: under a tape a tile
+writes its rows of the full-batch buffers that the vjp reads, and
+every other buffer, with no tape every buffer, is per-thread scratch.
+A fused op saves only what its vjp reads. Of layer norm that is the
+normalised input and 1/std, from which the vjp rebuilds the norm's
+output with the forward pass's bits; of the FFN's GELU, the activation
+and the slope; of attention, the softmax scores, and not q, k, v or
+the context P V. Recompute rule: the attention vjp rebuilds the norm's
+output first, then in each of the forward pass's tiles recomputes q, k
+and v by the forward pass's per-tile GEMMs on the same operands and
+row counts, so they carry the forward pass's bits at any width, and
+writes the context over the tile's rows of the context gradient once
+they are read; w_o's gradient is taken from it after the tile loop.
+That is one GEMM per rebuilt value, and no workspace array more. The
+weight, bias and gain gradients are full-batch reductions, and so are
+the vjp's input-gradient GEMMs. Workspace rule: a vjp call takes all
+its full-batch temporaries (the dropped output gradient; the context
+gradient, later the context; the query, key and value gradients; the
+FFN's activation gradient; the rebuilt layer-norm output and its
+gradient) in one ``_workspace(*shapes)`` call, as disjoint stretches
+of one per-thread buffer that keeps its largest size between calls.
+The buffer grows, when it must, before any array is handed out, so a
+cold call takes the same path as a warm one. A workspace array never
+holds a returned gradient or a buffer the forward pass saved, and a
+vjp joins every helper that reads one before it returns. Oracle rule:
+the primitive ops stay, and a fused op must equal its composite of
+primitives bit for bit in the forward pass and in its input and
+parameter gradients, and draw its dropout masks by the same
+``rng.random`` calls in the same order. Op and tile call
 one private kernel per rule: ``_softmax`` and ``_softmax_grad``, which
 reduce rows with ``_row_max`` and ``_row_sum`` (numpy's bits, unrolled
 over a short row); ``_ln_check``, ``_ln_rows``, ``_ln_affine`` and
@@ -930,10 +934,17 @@ def _tile_bounds(n: int, rows: int) -> list[int]:
     return [n * i // k for i in range(k + 1)] if k else [0]
 
 
-def _each_tile(n: int, rows: int, body, scratch=(), saved=()):
+_TILE_ELEMENTS = 1 << 16
+
+
+def _each_tile(n: int, width: int, body, scratch=(), saved=()):
     """Call ``body(lo, hi, bufs)`` for every tile [lo, hi) of
     ``_tile_bounds(n, rows)``, claimed in turn by the calling thread and
-    its helpers. ``scratch`` and ``saved`` are per-sample buffer shapes,
+    its helpers. ``width`` is the element count of one sample's widest
+    intermediate, and ``rows`` the most samples whose widest intermediates
+    fit ``_TILE_ELEMENTS``: 81 (attention) and 51 (FFN) at the default
+    configuration with 10 tokens, so 4 tiles of 64 and 6 of 42 or 43 at
+    256 samples. ``scratch`` and ``saved`` are per-sample buffer shapes,
     and ``bufs`` holds the tile's rows of each, scratch first. Under a
     tape the saved buffers are made full-batch and returned, for the vjp
     to read, and ``bufs`` holds their rows lo:hi. Every other buffer, and
@@ -945,7 +956,7 @@ def _each_tile(n: int, rows: int, body, scratch=(), saved=()):
     taped = active_tape() is not None
     kept = [np.empty((n,) + shape) for shape in saved] if taped else []
     per_thread = list(scratch) + ([] if taped else list(saved))
-    bounds = _tile_bounds(n, rows)
+    bounds = _tile_bounds(n, max(1, _TILE_ELEMENTS // width))
     tiles, lock, errors = iter(zip(bounds, bounds[1:])), threading.Lock(), []
     widest = max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0)
 
@@ -975,36 +986,25 @@ def _each_tile(n: int, rows: int, body, scratch=(), saved=()):
     return kept if taped else None
 
 
-class _Workspace(threading.local):
-    buf, need = np.empty(0), 0  # this thread's vjp buffer; the most one call took
+_LOCAL = threading.local()  # ``buf``: this thread's vjp buffer, once a vjp made it
 
 
-_LOCAL = _Workspace()
-
-
-def _workspace() -> Callable[[tuple], np.ndarray]:
-    """A ``take(shape)`` for one vjp call: each take is an array of
-    ``shape`` on the next unused stretch of this thread's buffer, so what
-    the vjps take is allocated once, not on every backward pass. A take
-    that does not fit is a new array (a buffer grown mid-call would keep
-    the old one alive under the earlier takes), and the next call starts
-    with a buffer as large as this call took. The previous call on the
-    thread must be done with its takes."""
-    if _LOCAL.buf.size < _LOCAL.need:
+def _workspace(*shapes: tuple) -> list[np.ndarray]:
+    """One vjp call's temporaries: an array of each shape, in order, on
+    disjoint stretches of this thread's buffer, so what the vjps use is
+    allocated once, not on every backward pass. A buffer smaller than
+    the shapes' total is freed, then replaced by one of that size, before
+    any array is handed out, so a cold call takes the same path as a warm
+    one. The previous call on the thread must be done with its arrays."""
+    need = sum(math.prod(shape) for shape in shapes)
+    if getattr(_LOCAL, "buf", np.empty(0)).size < need:
         _LOCAL.buf = None  # free the smaller buffer before making the larger one
-        _LOCAL.buf = np.empty(_LOCAL.need)
-    buf, used = _LOCAL.buf, 0
-
-    def take(shape):
-        nonlocal used
-        size = math.prod(shape)
-        used += size
-        if used <= buf.size:
-            return buf[used - size:used].reshape(shape)
-        _LOCAL.need = used  # more than any call before took
-        return np.empty(shape)
-
-    return take
+        _LOCAL.buf = np.empty(need)
+    arrays, end = [], 0
+    for shape in shapes:
+        start, end = end, end + math.prod(shape)
+        arrays.append(_LOCAL.buf[start:end].reshape(shape))
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -1019,16 +1019,6 @@ def _workspace() -> Callable[[tuple], np.ndarray]:
 # small row count with another kernel, whose last bits differ. A
 # gradient that fans out is summed in the tape's order.
 
-_TILE_ELEMENTS = 1 << 16
-
-
-def _tile_rows(width: int) -> int:
-    """The most samples a tile may hold when one sample's widest
-    intermediate holds ``width`` elements: 81 (attention) and 51 (FFN)
-    at the default configuration with 10 tokens, which ``_tile_bounds``
-    turns into 4 tiles of 64 and 6 of 42 or 43 at 256 samples."""
-    return max(1, _TILE_ELEMENTS // width)
-
 
 def _sublayer_input(op, x, ln_g, ln_b, eps, rate, rng):
     """Check what both sublayers take; return x as [n, t, d]."""
@@ -1039,7 +1029,7 @@ def _sublayer_input(op, x, ln_g, ln_b, eps, rate, rng):
     return x.data.reshape((-1,) + x.data.shape[-2:])
 
 
-def _ln_residual_vjp(og, g_ln, gain, xhat, inv, rows, shape):
+def _ln_residual_vjp(og, g_ln, gain, xhat, inv, width, shape):
     """Gradients of x + f(layer_norm(x)) given ``og`` for the sum and
     ``g_ln`` for the norm's output: (x, gain, bias). When the sum kept
     only the last ``og.shape[1]`` token rows, the residual reaches
@@ -1054,7 +1044,7 @@ def _ln_residual_vjp(og, g_ln, gain, xhat, inv, rows, shape):
         _ln_grad(g_ln[lo:hi], gain, xhat[lo:hi], inv[lo:hi], gx[lo:hi])
         gx[lo:hi, kept] += og[lo:hi]
 
-    _each_tile(g_ln.shape[0], rows, tile)
+    _each_tile(g_ln.shape[0], width, tile)
     return gx.reshape(shape), g_gain(), g_bias()
 
 
@@ -1104,7 +1094,7 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
         keep_p = rng.random((h, n, t, t))[:, :, qs] >= rate
         keep_o = rng.random((n, t, d))[:, qs] >= rate
     score_scale = 1.0 / math.sqrt(d // h)
-    rows = _tile_rows(t * max(d, h * t))
+    width = t * max(d, h * t)
 
     # one tile's q, k and v from its layer-norm output, in the forward pass
     # and again, on the same operands, in the vjp
@@ -1131,18 +1121,19 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
         o = _dropped(o, None if keep_o is None else keep_o[lo:hi], scale)
         np.add(xs[lo:hi, qs], o, out=out[lo:hi])
 
-    kept = _each_tile(n, rows, tile, scratch, saved)
+    kept = _each_tile(n, width, tile, scratch, saved)
 
     def vjp(og):
         xhat, inv, s = kept
-        take = _workspace()
-        hn = _ln_affine(xhat, ln_g.data, ln_b.data, take((n, t, d)))
-        g_o = _dropped(og.reshape(n, tq, d), keep_o, scale, take((n, tq, d))).reshape(-1, d)
-        g_ctx = np.matmul(g_o, w_o.data.T, out=take((n * tq, d))).reshape(n, tq, d)
-        g_q, g_v = take((n, tq, d)), take((n, t, d))
         # K's gradient in the composite's layout: C order, or for n = 1 the
         # strided view that the composite's reshape keeps
-        g_k = take((d, t)).T[None] if n == 1 else take((n, t, d))
+        k_shape = (d, t) if n == 1 else (n, t, d)
+        hn, g_o, g_ctx, g_q, g_v, g_k, g_hn = _workspace(
+            (n, t, d), (n, tq, d), (n * tq, d), (n, tq, d), (n, t, d), k_shape, (n * t, d))
+        g_k = g_k.T[None] if n == 1 else g_k
+        _ln_affine(xhat, ln_g.data, ln_b.data, hn)
+        g_o = _dropped(og.reshape(n, tq, d), keep_o, scale, g_o).reshape(-1, d)
+        g_ctx = np.matmul(g_o, w_o.data.T, out=g_ctx).reshape(n, tq, d)
 
         def tile(lo, hi, bufs):
             q, k, v = bufs
@@ -1158,16 +1149,16 @@ def attention_sublayer(x, ln_g, ln_b, w_q, w_k, w_v, w_o, n_heads, eps=1e-5, rat
             np.matmul(g_sc, _heads(k, h), out=_heads(g_q[lo:hi], h))
             np.matmul(np.swapaxes(g_sc, -1, -2), _heads(q, h), out=_heads(g_k[lo:hi], h))
 
-        _each_tile(n, rows, tile, [(tq, d), (t, d), (t, d)])
+        _each_tile(n, width, tile, [(tq, d), (t, d), (t, d)])
         g_w_o = _spawn(lambda: g_ctx.reshape(-1, d).T @ g_o)  # g_ctx now holds ctx
         g_q, g_k, g_v = (g.reshape(-1, d) for g in (g_q, g_k, g_v))
         h2, hq = hn.reshape(-1, d), hn[:, qs].reshape(-1, d)
         g_w = [_spawn(lambda a=a, g=g: a.T @ g) for a, g in ((hq, g_q), (h2, g_k), (h2, g_v))]
         # the tape's fan-out order into the layer-norm output: (v + k) + q
-        g_hn = np.matmul(g_v, w_v.data.T, out=take((n * t, d))).reshape(n, t, d)
+        g_hn = np.matmul(g_v, w_v.data.T, out=g_hn).reshape(n, t, d)
         g_hn += (g_k @ w_k.data.T).reshape(n, t, d)
         g_hn[:, qs] += (g_q @ w_q.data.T).reshape(n, tq, d)
-        g_x = _ln_residual_vjp(og.reshape(n, tq, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
+        g_x = _ln_residual_vjp(og.reshape(n, tq, d), g_hn, ln_g.data, xhat, inv, width, x.shape)
         return g_x + tuple(g() for g in g_w) + (g_w_o(),)
 
     inputs = (x, ln_g, ln_b, w_q, w_k, w_v, w_o)
@@ -1216,7 +1207,7 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
     scale, keep_o = 1.0 / (1.0 - rate), None
     if rate > 0.0:
         keep_o = rng.random((n, drawn, d))[:, drawn - t:] >= rate
-    rows = _tile_rows(t * max(d, f))
+    width = t * max(d, f)
     # scratch: hn, the pre-activation and exp(-pre^2/2); saved: xhat, inv,
     # the activation and, for the vjp only, GELU's slope
     scratch = [(t, d), (t, f), (t, f)]
@@ -1235,22 +1226,22 @@ def ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2, eps=1e-5, rate=0.0, rng=None, ma
         o = _dropped(o, None if keep_o is None else keep_o[lo:hi], scale)
         np.add(xs[lo:hi], o, out=out[lo:hi])
 
-    kept = _each_tile(n, rows, tile, scratch, saved)
+    kept = _each_tile(n, width, tile, scratch, saved)
 
     def vjp(og):
         xhat, inv, act, slope = kept
         lead = tuple(range(x.data.ndim - 1))
-        take = _workspace()
-        g_o = _dropped(og.reshape(n, t, d), keep_o, scale, take((n, t, d))).reshape(-1, d)
+        g_o, g_u, hn, g_hn = _workspace((n, t, d), (n * t, f), (n, t, d), (n * t, d))
+        g_o = _dropped(og.reshape(n, t, d), keep_o, scale, g_o).reshape(-1, d)
         g_w2 = _spawn(lambda: act.reshape(-1, f).T @ g_o)
         g_b2 = _spawn(lambda: g_o.reshape(x.shape).sum(axis=lead))
-        g_u = np.matmul(g_o, w2.data.T, out=take((n * t, f)))
+        np.matmul(g_o, w2.data.T, out=g_u)
         g_u *= slope.reshape(-1, f)
-        hn = _ln_affine(xhat, ln_g.data, ln_b.data, take((n, t, d)))
+        _ln_affine(xhat, ln_g.data, ln_b.data, hn)
         g_w1 = _spawn(lambda: hn.reshape(-1, d).T @ g_u)
         g_b1 = _spawn(lambda: g_u.reshape(x.shape[:-1] + (f,)).sum(axis=lead))
-        g_hn = np.matmul(g_u, w1.data.T, out=take((n * t, d))).reshape(n, t, d)
-        g_x = _ln_residual_vjp(og.reshape(n, t, d), g_hn, ln_g.data, xhat, inv, rows, x.shape)
+        g_hn = np.matmul(g_u, w1.data.T, out=g_hn).reshape(n, t, d)
+        g_x = _ln_residual_vjp(og.reshape(n, t, d), g_hn, ln_g.data, xhat, inv, width, x.shape)
         return g_x + (g_w1(), g_b1(), g_w2(), g_b2())
 
     return _emit("ffn_sublayer", out.reshape(x.shape), (x, ln_g, ln_b, w1, b1, w2, b2), vjp)

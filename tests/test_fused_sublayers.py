@@ -6,6 +6,7 @@ bitwise equal to the composite's, and the rng must be consumed
 identically."""
 
 import gc
+import threading
 import tracemalloc
 
 import numpy as np
@@ -65,7 +66,7 @@ def tile_rows(cfg, kind):
     """Samples per tile of the fused op at ``cfg`` and T tokens."""
     d = cfg.embed_dim
     width = max(d, cfg.n_heads * T) if kind == "attention" else max(d, cfg.ffn_dim)
-    return ad._tile_rows(T * width)
+    return max(1, ad._TILE_ELEMENTS // (T * width))
 
 
 def run(op, blk, x0, rate, seed=3):
@@ -218,7 +219,7 @@ def test_default_training_step_keeps_only_what_backward_reads(monkeypatch):
     # are for the two threads they were measured with
     monkeypatch.setattr(ad, "_WORKERS", 2)
     # a fresh vjp workspace, so that the step is the cold one whatever ran before
-    monkeypatch.setattr(ad, "_LOCAL", ad._Workspace())
+    monkeypatch.setattr(ad, "_LOCAL", threading.local())
     model, X, y, rng = default_step()
     gc.collect()
     tracemalloc.start()

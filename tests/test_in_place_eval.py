@@ -48,7 +48,7 @@ CASES = {
 def tile(cfg, case, t):
     """Samples per tile of the case's op at ``cfg`` and t token rows."""
     widest = cfg.n_heads * T if case == "attention" else cfg.ffn_dim
-    return ad._tile_rows(t * max(cfg.embed_dim, widest))
+    return max(1, ad._TILE_ELEMENTS // (t * max(cfg.embed_dim, widest)))
 
 
 @pytest.mark.parametrize("workers", [1, 2])

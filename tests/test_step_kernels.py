@@ -4,6 +4,7 @@ the vjps' per-thread workspace, which must never leak into a result or
 into another backward pass."""
 
 import gc
+import threading
 import tracemalloc
 
 import numpy as np
@@ -157,28 +158,24 @@ def test_workspace_reuse_leaves_every_backward_pass_exact(monkeypatch):
         assert np.array_equal(g, 2.0 * e)
 
 
-def recorded_takes(monkeypatch):
-    """Give this test its own workspace and list every vjp call's takes,
-    one list per call."""
-    monkeypatch.setattr(ad, "_LOCAL", ad._Workspace())
+def workspace_calls(monkeypatch):
+    """Give this test its own workspace and list every vjp call's
+    ``_workspace`` arrays with the buffer they were handed out from, one
+    pair per call."""
+    monkeypatch.setattr(ad, "_LOCAL", threading.local())
     calls, workspace = [], ad._workspace
 
-    def recording():
-        take, arrays = workspace(), []
-        calls.append(arrays)
-
-        def recorded(shape):
-            arrays.append(take(shape))
-            return arrays[-1]
-
-        return recorded
+    def recording(*shapes):
+        arrays = workspace(*shapes)
+        calls.append((arrays, ad._LOCAL.buf))
+        return arrays
 
     monkeypatch.setattr(ad, "_workspace", recording)
     return calls
 
 
 def test_no_returned_gradient_shares_memory_with_the_workspace(monkeypatch):
-    calls = recorded_takes(monkeypatch)
+    calls = workspace_calls(monkeypatch)
     cfg = ModelConfig(dropout=0.1)
     blk = block(cfg)
     x = Tensor(inputs((40, T, 64)), requires_grad=True)
@@ -194,36 +191,50 @@ def test_no_returned_gradient_shares_memory_with_the_workspace(monkeypatch):
             last, blk.ln2_g, blk.ln2_b, blk.ffn_w1, blk.ffn_b1, blk.ffn_w2, blk.ffn_b2,
             cfg.layer_norm_eps, 0.1, rng, mask_tokens=T,
         )
-    for _ in range(2):  # the buffer grows on the first pass and holds every take on the second
+    for _ in range(2):  # the buffer grows on the first pass, not on the second
         for node in tape.nodes:
             returned = [g for g in node.vjp(np.ones_like(node.out.data)) if g is not None]
             for g in returned:
                 assert not np.shares_memory(g, ad._LOCAL.buf)
-                assert not any(np.shares_memory(g, a) for a in calls[-1])
-    assert all(np.shares_memory(a, ad._LOCAL.buf) for arrays in calls[-4:] for a in arrays)
+                assert not any(np.shares_memory(g, a) for a in calls[-1][0])
+    assert all(np.shares_memory(a, ad._LOCAL.buf) for arrays, _ in calls[-4:] for a in arrays)
 
 
 def test_takes_within_one_call_never_overlap(monkeypatch):
-    calls = recorded_takes(monkeypatch)
+    calls = workspace_calls(monkeypatch)
     model, X, y, _ = default_step()
-    for seed in range(2):  # cold, then warm with every take on the buffer
+    for seed in range(2):  # cold, then warm
         tape, loss = step_tape(model, X[:50], y[:50], seed)
         tape.backward(loss)
     assert len(calls) == 4 * DEFAULT.n_blocks
-    for arrays in calls:
+    for arrays, buf in calls:
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[:i])
-    assert all(np.shares_memory(a, ad._LOCAL.buf) for arrays in calls[len(calls) // 2:] for a in arrays)
+        assert all(np.shares_memory(a, buf) for a in arrays)  # cold calls too
+
+
+def test_a_cold_vjp_call_hands_out_every_array_from_the_buffer(monkeypatch):
+    calls = workspace_calls(monkeypatch)
+    blk = block(ModelConfig(dropout=0.1))
+    for op in (fused_attention, fused_ffn):
+        monkeypatch.setattr(ad, "_LOCAL", threading.local())  # cold: no buffer yet
+        with Tape() as tape:
+            out = op(blk, Tensor(inputs((40, T, 64)), requires_grad=True), 0.1, np.random.default_rng(3))
+        (node,) = tape.nodes
+        node.vjp(np.ones_like(out.data))
+        arrays, buf = calls[-1]
+        assert buf is ad._LOCAL.buf and buf.size == sum(a.size for a in arrays)
+        assert all(np.shares_memory(a, buf) for a in arrays)
 
 
 def test_warm_workspace_is_never_replaced(monkeypatch):
-    monkeypatch.setattr(ad, "_LOCAL", ad._Workspace())
+    monkeypatch.setattr(ad, "_LOCAL", threading.local())
     model, X, y, _ = default_step()
     for seed in range(2):
         tape, loss = step_tape(model, X, y, seed)
         tape.backward(loss)
     buf = ad._LOCAL.buf
-    # the attention vjp's seven [n, t, d] takes at 256 samples: 9.18 MB
+    # the attention vjp's seven [n, t, d] arrays at 256 samples: 9.18 MB
     assert buf.nbytes == 7 * 256 * T * 64 * 8
     for seed, rows in ((2, 256), (3, 256), (4, 100), (5, 1)):  # a smaller final batch last
         tape, loss = step_tape(model, X[:rows], y[:rows], seed)
@@ -246,6 +257,6 @@ def test_warm_default_backward_makes_no_full_batch_temporaries(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # measured 4.6 to 5.0 MB; 12.5 to 12.9 MB when every vjp made its
-    # full-batch temporaries afresh
+    # measured 5.2 to 6.2 MB over 15 warm steps in three runs; 15.3 to
+    # 15.4 MB when every vjp made its full-batch temporaries afresh
     assert peak < 6.5e6
